@@ -531,8 +531,8 @@ def test_pipelined_window_overlaps_slow_shard(
     # exceeded -- from the engine's own high-water mark, the
     # controller's stats, and the published depth gauge.
     assert lockstep_inflight["window"] == 1
-    assert lockstep_inflight["max_depth"] == 0, (
-        "lockstep must route through step_batch, not the windowed path"
+    assert lockstep_inflight["max_depth"] == 1, (
+        "window 1 must collect each tick before submitting the next"
     )
     assert windowed_inflight["window"] == PIPELINE_WINDOW
     assert windowed_inflight["max_depth"] == PIPELINE_WINDOW

@@ -325,7 +325,8 @@ def _add_controller_flags(parser) -> None:
                             "serving: the controller fans out tick t+1 "
                             "while tick t's replies are still streaming "
                             "back, up to W ticks deep (default 2; 1 = "
-                            "lockstep, bitwise the pre-pipelining loop)")
+                            "each tick collected before the next is "
+                            "submitted)")
     fault = parser.add_argument_group("fault tolerance (worker failover)")
     fault.add_argument("--max-failovers", type=int, default=0, metavar="N",
                        help="recover from up to N worker deaths by "

@@ -176,6 +176,12 @@ class TimeseriesAwareUncertaintyWrapper:
                 f"expected {len(self.layout.stateless_names)} stateless quality "
                 f"values, got {stateless.size}"
             )
+        if not (np.isfinite(model_input).all() and np.isfinite(stateless).all()):
+            # The DDM and the quality tree would still answer -- with a
+            # confident uncertainty for garbage -- so reject up front.
+            raise ValidationError(
+                "model_input and stateless quality values must be finite"
+            )
 
         isolated_outcome = int(np.asarray(self.ddm.predict(model_input))[0])
         isolated_u = float(

@@ -274,15 +274,16 @@ class ShardedEngine:
         A :class:`~repro.serving.transport.Transport` instance, or one of
         ``"pipe"`` (default), ``"inproc"``, ``"tcp:HOST:PORT,..."``.
     inflight_window:
-        Maximum cluster ticks in flight at once (>= 1).  At 1 (the
-        default) :meth:`step_batch` is the only serving path and nothing
-        changes.  Above 1 a caller may pipeline:
-        :meth:`submit_batch` fans tick t+1 out while tick t's replies
-        are still streaming back, and :meth:`collect_batch` merges
-        completed ticks strictly in submission order -- results are
-        bitwise-identical to lockstep because every shard still serves
-        its requests FIFO.  Requests are tick-tagged on the wire and the
-        echo is verified, so replies can never pair with the wrong tick.
+        Maximum cluster ticks in flight at once (>= 1).  Every tick runs
+        the one split-phase path: :meth:`submit_batch` fans it out and
+        :meth:`collect_batch` merges it, strictly in submission order;
+        :meth:`step_batch` is the two back to back.  At 1 (the default)
+        a tick is collected before the next is submitted.  Above 1 a
+        caller may pipeline -- fan tick t+1 out while tick t's replies
+        are still streaming back -- and results stay bitwise-identical
+        because every shard serves its requests FIFO.  Step requests are
+        always tick-tagged on the wire and the echo is verified, so
+        replies can never pair with the wrong tick.
 
     Use as a context manager (or call :meth:`close`) to reap the workers.
     """
@@ -328,13 +329,15 @@ class ShardedEngine:
         #: need no introspection surface.
         self._inflight: deque = deque()
         self._inflight_max_depth = 0
-        #: Surviving shards' ok replies from the last failed lockstep
-        #: tick (see :meth:`salvage_step`); ``None`` = nothing to salvage.
+        #: The in-flight record of the last failed tick, holding its
+        #: surviving shards' ok replies, when it was the only tick in
+        #: flight (see :meth:`salvage_step`); ``None`` = nothing to
+        #: salvage.
         self._salvage: dict | None = None
         #: Optional tick tracer (duck-typed; see :func:`_null_span`).
         #: The :class:`~repro.serving.controller.ServingController`
-        #: attaches its own here so fan-out / per-shard step / merge
-        #: spans land in the same per-tick trace as the control plane's.
+        #: attaches its own here so fan-out / await / merge spans land
+        #: in the same per-tick trace as the control plane's.
         #: A tracer also turns on trace-context propagation: each step
         #: request carries a sampled trace context and workers piggyback
         #: their recv/decode/step timings on the reply.
@@ -578,10 +581,11 @@ class ShardedEngine:
         The O(dead-shard) recovery primitive: after
         :meth:`revive_shard` restored the shard's checkpoint, each
         journaled batch is filtered to the frames this shard owns and
-        resent to it -- byte-identical to the lockstep fan-out payloads
-        it originally received (frameless batches become empty ticks so
-        TTL clocks advance exactly).  Surviving shards are never
-        touched.  Returns the number of ticks replayed.
+        resent to it through the fan-out's own payload builder -- the
+        payloads it originally received, tagged with the ticks they
+        replay (frameless batches become empty ticks so TTL clocks
+        advance exactly).  Surviving shards are never touched.  Returns
+        the number of ticks replayed.
         """
         self._require_open()
         self._require_drained()
@@ -592,40 +596,14 @@ class ShardedEngine:
             )
         worker = self._workers[shard]
         batches = list(batches)
+        tick = self._tick - len(batches)
         for frames in batches:
-            mine = [
-                frame
-                for frame in frames
-                if self.shard_for(frame.stream_id) == shard
-            ]
-            if not mine:
-                worker.request("step", None)
-                continue
-            rows, quality = validate_tick_frames(
-                mine,
-                n_stateless=self._engine_shape["n_stateless"],
-                has_scope_model=self._engine_shape["has_scope_model"],
+            tick += 1
+            plan = self._plan(
+                [f for f in frames if self.shard_for(f.stream_id) == shard]
             )
-            if self.transport.requires_wire_ids:
-                for frame in mine:
-                    require_wire_id(frame.stream_id)
-                scope_rows = [
-                    sanitize_wire_scope(frame.scope_factors, frame.stream_id)
-                    for frame in mine
-                ]
-            else:
-                scope_rows = [frame.scope_factors for frame in mine]
-            payload = self._shard_payload(
-                mine,
-                np.asarray(rows),
-                np.asarray(quality),
-                np.fromiter(
-                    (frame.new_series for frame in mine), bool, len(mine)
-                ),
-                scope_rows,
-                list(range(len(mine))),
-            )
-            worker.request("step", payload)
+            worker.tick_tag = tick
+            worker.request("step", self._payload(plan, shard))
         return len(batches)
 
     # ------------------------------------------------------------------
@@ -723,9 +701,10 @@ class ShardedEngine:
         misses, bytes_copied) for transports that pool their frame
         buffers (pipe, shm); transports without a pool omit the key.
 
-        ``inflight`` describes the pipelined-tick window: the configured
-        ``window`` bound, current ``depth`` (submitted-but-uncollected
-        ticks), the high-water ``max_depth`` ever reached, and
+        ``inflight`` describes the tick window: the configured ``window``
+        bound, current ``depth`` (submitted-but-uncollected ticks), the
+        high-water ``max_depth`` ever reached (1 once any tick ran at
+        window 1), and
         ``oldest_age_seconds`` -- how long (monotonic wall clock) the
         oldest in-flight tick has been waiting, the send/recv queue-age
         signal the controller's backpressure reads.
@@ -858,16 +837,17 @@ class ShardedEngine:
         return RegistryStatistics(**totals)
 
     # ------------------------------------------------------------------
-    # Serving
+    # Serving: one fan-out, one completion
     # ------------------------------------------------------------------
     def step_batch(self, frames: Sequence[StreamFrame]) -> list[StreamStepResult]:
         """One cluster tick; same contract and results as the single engine.
 
-        Frames fan out to their shards, every worker steps concurrently
+        Window 1 of the pipeline: :meth:`submit_batch` fans the tick out
         (shards without frames tick on an empty batch so TTL clocks stay
-        cluster-wide), and the merged results come back in input order.
-        Fan-out is overlapped: a shard's payload is on the wire before
-        the next shard's is encoded.
+        cluster-wide) and :meth:`collect_batch` merges the replies back
+        in input order -- the same code, spans and tick-tagged wire
+        frames as a windowed run.  Requires a drained window, since it
+        returns *this* tick's results.
 
         A 1-shard in-proc cluster takes the fast path: frames delegate
         straight to the worker engine with no payload packing or result
@@ -875,290 +855,14 @@ class ShardedEngine:
         cluster interface (errors then surface exactly as the single
         engine raises them, without the ``[shard N]`` diagnostic prefix).
         """
-        self._require_healthy()
         self._require_drained()
-        self._salvage = None
-        frames = list(frames)
-        engine = self._single_inproc_engine()
-        if engine is not None:
-            results = engine.step_batch(frames)
-            self._tick += 1
-            return results
-        if not frames:
-            self._request_all([(worker, "step", None) for worker in self._workers])
-            self._tick += 1
-            return []
+        self.submit_batch(frames)
+        return self.collect_batch()
 
-        tracer = self.tracer
-        span = tracer.span if tracer is not None else _null_span
-
-        with span("fanout", frames=len(frames), shards=self.n_shards):
-            # Parent-side validation is the single engine's whole-tick
-            # atomic reject, byte-identical by construction (shared
-            # helper): every input error checkable without the models
-            # rejects here with no state change on any shard.  Only
-            # failures a worker detects mid-tick -- a raising monitor
-            # factory, a broken taQIM -- remain atomic per shard rather
-            # than per cluster.
-            rows, quality = validate_tick_frames(
-                frames,
-                n_stateless=self._engine_shape["n_stateless"],
-                has_scope_model=self._engine_shape["has_scope_model"],
-            )
-            if self.transport.requires_wire_ids:
-                # Reject before fan-out, like every other input error:
-                # payloads that cannot cross the codec (exotic ids,
-                # non-JSON scope values) must not half-execute a tick.
-                # Numpy-scalar scope values are unwrapped to exact
-                # Python equivalents.
-                for frame in frames:
-                    require_wire_id(frame.stream_id)
-                scope_rows = [
-                    sanitize_wire_scope(frame.scope_factors, frame.stream_id)
-                    for frame in frames
-                ]
-            else:
-                scope_rows = [frame.scope_factors for frame in frames]
-
-            per_shard: list[list[int]] = [[] for _ in self._workers]
-            for index, frame in enumerate(frames):
-                per_shard[self.shard_for(frame.stream_id)].append(index)
-
-            # Overlapped fan-out: encode + send one shard at a time, busy
-            # shards first, so shard k is computing while the parent
-            # encodes shard k+1; frameless shards get their (trivial)
-            # empty tick last.
-            order = [s for s, indices in enumerate(per_shard) if indices]
-            order += [s for s, indices in enumerate(per_shard) if not indices]
-            sent = []
-            first_sent = False
-            # Stack the whole tick's inputs once (one vectorized pass)
-            # instead of vstack-ing per-frame rows per shard; payloads
-            # below fancy-index these matrices.  Shared payload-build
-            # work, so it counts toward encode_seconds.  Fan-out cost is
-            # metered in parent *CPU* time: on an oversubscribed host
-            # the send syscall wakes the worker and the scheduler may
-            # run the worker's whole step inside the parent's wall-clock
-            # window, which is worker compute, not serialization.
-            p_stack = time.process_time()
-            rows_matrix = np.asarray(rows)
-            quality_matrix = np.asarray(quality)
-            new_series_all = np.fromiter(
-                (frame.new_series for frame in frames), bool, len(frames)
-            )
-            encode_seconds = time.process_time() - p_stack
-            overlap_seconds = 0.0
-            rpc = {} if tracer is not None else None
-            try:
-                for shard in order:
-                    worker = self._workers[shard]
-                    indices = per_shard[shard]
-                    p_start = time.process_time()
-                    payload = (
-                        self._shard_payload(
-                            frames,
-                            rows_matrix,
-                            quality_matrix,
-                            new_series_all,
-                            scope_rows,
-                            indices,
-                        )
-                        if indices
-                        else None
-                    )
-                    if rpc is not None:
-                        # Sampled tick: the request carries a trace
-                        # context (workers piggyback phase timings on the
-                        # reply) and send..recv-done brackets the shard's
-                        # RPC envelope on the wall clock (timelines need
-                        # wall time, unlike the CPU-metered stats).
-                        worker.trace_context = {
-                            "tick": self._tick + 1,
-                            "shard": shard,
-                            "parent": "shard_step",
-                            "sampled": True,
-                        }
-                        rpc[shard] = {"send": time.perf_counter()}
-                    worker.send("step", payload)
-                    if rpc is not None:
-                        rpc[shard]["sent"] = time.perf_counter()
-                    shard_seconds = time.process_time() - p_start
-                    encode_seconds += shard_seconds
-                    if first_sent:
-                        # Build + send work done while at least one shard
-                        # was already computing its payload.
-                        overlap_seconds += shard_seconds
-                    first_sent = True
-                    sent.append(worker)
-            except Exception as error:
-                # Whatever failed mid-fan-out (a dead worker, an encode
-                # error), drain the shards already stepping so their
-                # channels stay in protocol.
-                for worker in sent:
-                    worker.recv()
-                if isinstance(error, ClusterWorkerError):
-                    self._note_dead(error.shard)
-                raise
-            self._fanout_ticks += 1
-            self._fanout_encode_seconds += encode_seconds
-            self._fanout_overlap_seconds += overlap_seconds
-
-        # Drain every reply before raising so the channels stay in
-        # protocol; failures report the lowest-numbered failing shard.
-        # Per-shard spans measure the wait for each reply: the first
-        # busy shard's span is the cluster's straggler time, later
-        # shards' replies are usually already buffered.
-        replies = {}
-        for shard in order:
-            with span("shard_step", shard=shard):
-                replies[shard] = self._workers[shard].recv()
-            if rpc is not None:
-                rpc[shard]["done"] = time.perf_counter()
-                rpc[shard]["telemetry"] = getattr(
-                    self._workers[shard], "last_telemetry", None
-                )
-        if rpc is not None:
-            self._last_rpc = {"tick": self._tick + 1, "shards": rpc}
-            self._harvest_worker_phases(rpc)
-        failure = None
-        for shard in sorted(order):
-            reply = replies[shard]
-            if reply[0] != "ok":
-                if not self._workers[shard].alive:
-                    self._note_dead(shard)
-                if failure is None:
-                    failure = (shard, reply[1], reply[2])
-        if failure is not None:
-            # Partial-tick salvage: every shard that answered ok has
-            # completed this tick -- keep those replies so the control
-            # plane can revive + replay just the failed shard(s) and
-            # finish the tick via salvage_step() instead of restoring
-            # the whole cluster and re-stepping every shard.
-            self._salvage = {
-                "frames": frames,
-                "per_shard": per_shard,
-                "order": order,
-                "replies": {
-                    shard: replies[shard]
-                    for shard in order
-                    if replies[shard][0] == "ok"
-                },
-                "build": (
-                    rows_matrix,
-                    quality_matrix,
-                    new_series_all,
-                    scope_rows,
-                ),
-            }
-            raise_worker_error(*failure)
-
-        with span("merge"):
-            results: list[StreamStepResult | None] = [None] * len(frames)
-            for shard in order:
-                indices = per_shard[shard]
-                if indices:
-                    self._merge_shard_results(
-                        frames, indices, replies[shard][1], results
-                    )
-        self._tick += 1
-        return results
-
-    # ------------------------------------------------------------------
-    # Partial-tick salvage (O(dead-shard) recovery)
-    # ------------------------------------------------------------------
-    @property
-    def salvage_pending(self) -> bool:
-        """True when the last failed lockstep tick kept its survivors'
-        replies and can complete via :meth:`salvage_step`."""
-        return self._salvage is not None
-
-    def salvage_step(self) -> list[StreamStepResult]:
-        """Complete the last failed lockstep tick shard-locally.
-
-        The failed :meth:`step_batch` kept every surviving shard's ok
-        reply; after the dead shard is revived (:meth:`revive_shard`
-        with its checkpoint) and replayed to the cluster tick
-        (:meth:`replay_shard`), this resends the tick's payload to just
-        the shard(s) that never answered ok -- byte-identical to the
-        original sends, since lockstep frames carry no tick tag --
-        merges the fresh replies with the kept ones in input order, and
-        completes the cluster tick.  If a resent shard fails again the
-        salvage context survives (minus any shard that answered ok
-        while draining), so the caller can revive and try once more, or
-        fall back to whole-cluster restore + replay.
-        """
-        self._require_healthy()
-        self._require_drained()
-        if self._salvage is None:
-            raise ClusterError("no partially-completed tick to salvage")
-        ctx = self._salvage
-        frames = ctx["frames"]
-        per_shard = ctx["per_shard"]
-        replies = ctx["replies"]
-        rows_matrix, quality_matrix, new_series_all, scope_rows = ctx["build"]
-        missing = [shard for shard in ctx["order"] if shard not in replies]
-        sent = []
-        try:
-            for shard in missing:
-                indices = per_shard[shard]
-                payload = (
-                    self._shard_payload(
-                        frames,
-                        rows_matrix,
-                        quality_matrix,
-                        new_series_all,
-                        scope_rows,
-                        indices,
-                    )
-                    if indices
-                    else None
-                )
-                self._workers[shard].send("step", payload)
-                sent.append(shard)
-        except Exception as error:
-            # Drain the shards already resent; ok replies are kept (those
-            # shards completed the tick) so a later attempt resends only
-            # what is still missing.
-            for shard in sent:
-                reply = self._workers[shard].recv()
-                if reply[0] == "ok":
-                    replies[shard] = reply
-                elif not self._workers[shard].alive:
-                    self._note_dead(shard)
-            if isinstance(error, ClusterWorkerError):
-                self._note_dead(error.shard)
-            raise
-        failure = None
-        for shard in sent:
-            reply = self._workers[shard].recv()
-            if reply[0] != "ok":
-                if not self._workers[shard].alive:
-                    self._note_dead(shard)
-                if failure is None:
-                    failure = (shard, reply[1], reply[2])
-            else:
-                replies[shard] = reply
-        if failure is not None:
-            raise_worker_error(*failure)
-        results: list[StreamStepResult | None] = [None] * len(frames)
-        for shard in ctx["order"]:
-            indices = per_shard[shard]
-            if indices:
-                self._merge_shard_results(
-                    frames, indices, replies[shard][1], results
-                )
-        self._tick += 1
-        self._salvage = None
-        return results
-
-    # ------------------------------------------------------------------
-    # Pipelined serving: bounded in-flight window
-    # ------------------------------------------------------------------
     def submit_batch(self, frames: Sequence[StreamFrame]) -> int:
         """Fan one tick out without waiting for its replies.
 
-        The send half of :meth:`step_batch`, for pipelined callers:
-        validation, placement, payload build, and the overlapped
+        Validation, placement, payload build, and the overlapped
         per-shard sends all happen now; the replies stay on the wire
         until :meth:`collect_batch`.  Up to :attr:`inflight_window`
         ticks may be outstanding; submitting past the bound raises
@@ -1180,192 +884,216 @@ class ShardedEngine:
                 "tick(s)); collect_batch() before submitting more"
             )
         frames = list(frames)
-        target_tick = self._tick + len(self._inflight) + 1
+        tick = self._tick + len(self._inflight) + 1
         submitted_at = time.monotonic()
-
         engine = self._single_inproc_engine()
         if engine is not None:
             # Single in-proc shard: nothing to overlap with -- the
-            # "worker" computes on this thread either way.  Step now so
-            # the submit/collect surface (and its ordering guarantee)
-            # still holds; results wait in the window for collection.
-            results = engine.step_batch(frames)
-            self._inflight.append(
-                {
-                    "kind": "engine",
-                    "tick": target_tick,
-                    "pending": (),
-                    "results": results,
-                    "submitted_at": submitted_at,
-                }
-            )
-            self._note_depth()
-            return target_tick
-
-        tracer = self.tracer
-        span = tracer.span if tracer is not None else _null_span
-
-        if not frames:
-            for worker in self._workers:
-                worker.tick_tag = target_tick
-            self._send_all(
-                [(worker, "step", None) for worker in self._workers]
-            )
-            self._inflight.append(
-                {
-                    "kind": "empty",
-                    "tick": target_tick,
-                    "frames": frames,
-                    "per_shard": [[] for _ in self._workers],
-                    "pending": list(range(len(self._workers))),
-                    "rpc": None,
-                    "submitted_at": submitted_at,
-                }
-            )
-            self._note_depth()
-            return target_tick
-
-        with span("fanout", frames=len(frames), shards=self.n_shards):
-            rows, quality = validate_tick_frames(
-                frames,
-                n_stateless=self._engine_shape["n_stateless"],
-                has_scope_model=self._engine_shape["has_scope_model"],
-            )
-            if self.transport.requires_wire_ids:
-                for frame in frames:
-                    require_wire_id(frame.stream_id)
-                scope_rows = [
-                    sanitize_wire_scope(frame.scope_factors, frame.stream_id)
-                    for frame in frames
-                ]
-            else:
-                scope_rows = [frame.scope_factors for frame in frames]
-
-            per_shard: list[list[int]] = [[] for _ in self._workers]
-            for index, frame in enumerate(frames):
-                per_shard[self.shard_for(frame.stream_id)].append(index)
-
-            order = [s for s, indices in enumerate(per_shard) if indices]
-            order += [s for s, indices in enumerate(per_shard) if not indices]
-            sent = []
-            first_sent = False
-            p_stack = time.process_time()
-            rows_matrix = np.asarray(rows)
-            quality_matrix = np.asarray(quality)
-            new_series_all = np.fromiter(
-                (frame.new_series for frame in frames), bool, len(frames)
-            )
-            encode_seconds = time.process_time() - p_stack
-            overlap_seconds = 0.0
-            rpc = {} if tracer is not None else None
-            try:
-                for shard in order:
-                    worker = self._workers[shard]
-                    indices = per_shard[shard]
-                    p_start = time.process_time()
-                    payload = (
-                        self._shard_payload(
-                            frames,
-                            rows_matrix,
-                            quality_matrix,
-                            new_series_all,
-                            scope_rows,
-                            indices,
-                        )
-                        if indices
-                        else None
-                    )
-                    worker.tick_tag = target_tick
-                    if rpc is not None:
-                        worker.trace_context = {
-                            "tick": target_tick,
-                            "shard": shard,
-                            "parent": "shard_step",
-                            "sampled": True,
-                        }
-                        rpc[shard] = {"send": time.perf_counter()}
-                    worker.send("step", payload)
-                    if rpc is not None:
-                        rpc[shard]["sent"] = time.perf_counter()
-                    shard_seconds = time.process_time() - p_start
-                    encode_seconds += shard_seconds
-                    if first_sent:
-                        overlap_seconds += shard_seconds
-                    first_sent = True
-                    sent.append(worker)
-            except Exception as error:
-                # Drain only THIS tick's partial sends; earlier in-flight
-                # ticks keep their owed replies (abort_window settles
-                # them during recovery).  Per-endpoint FIFO pairing makes
-                # the drained replies interchangeable -- all discarded.
-                for worker in sent:
-                    worker.recv()
-                if isinstance(error, ClusterWorkerError):
-                    self._note_dead(error.shard)
-                raise
-            self._fanout_ticks += 1
-            self._fanout_encode_seconds += encode_seconds
-            self._fanout_overlap_seconds += overlap_seconds
-
-        self._inflight.append(
-            {
-                "kind": "fanout",
-                "tick": target_tick,
-                "frames": frames,
-                "per_shard": per_shard,
-                "pending": list(order),
-                "rpc": rpc,
-                "submitted_at": submitted_at,
+            # "worker" computes on this thread either way.  Step now;
+            # the results wait in the window for collection.
+            record = {
+                "tick": tick, "pending": (), "results": engine.step_batch(frames)
             }
-        )
-        self._note_depth()
-        return target_tick
+        else:
+            record = self._fanout(frames, tick)
+        record["submitted_at"] = submitted_at
+        self._inflight.append(record)
+        if len(self._inflight) > self._inflight_max_depth:
+            self._inflight_max_depth = len(self._inflight)
+        return tick
 
     def collect_batch(self) -> list[StreamStepResult]:
         """Wait for the *oldest* in-flight tick and merge its results.
 
-        The recv half of :meth:`step_batch`: blocks until every shard's
-        reply for the oldest submitted tick is in (``await_window``
-        spans per shard -- the genuine pipeline stall time, distinct
-        from lockstep's ``shard_step`` wait), verifies each reply's tick
-        echo, merges in input order (``merge_ready`` span), and
-        completes the cluster tick.  Ticks always complete in
-        submission order regardless of which shard finishes first --
-        that is the ordering guarantee windowed serving keeps.
+        Blocks until every shard's reply for the oldest submitted tick
+        is in (``await_window`` spans per shard -- the genuine pipeline
+        stall time), verifies each reply's tick echo, merges in input
+        order (``merge_ready`` span), and completes the cluster tick.
+        Ticks always complete in submission order regardless of which
+        shard finishes first.
 
         A worker failure raises after this tick's replies are fully
-        drained; later in-flight ticks remain owed and the caller
-        settles them with :meth:`abort_window` before recovery.
+        drained.  If no later tick is in flight, the surviving shards'
+        ok replies are kept for :meth:`salvage_step`; otherwise the
+        later ticks remain owed and the caller settles them with
+        :meth:`abort_window` before recovery.
         """
         self._require_open()
         if not self._inflight:
             raise ClusterError("collect_batch() with no tick in flight")
         record = self._inflight.popleft()
-
-        if record["kind"] == "engine":
+        if "results" in record:
             self._tick += 1
             return record["results"]
+        return self._complete(record)
 
+    def _plan(self, frames: list[StreamFrame]) -> dict:
+        """Validate, place and stack one tick's frames (no I/O).
+
+        Parent-side validation is the single engine's whole-tick atomic
+        reject, byte-identical by construction (shared helper): every
+        input error checkable without the models rejects here with no
+        state change on any shard.  Only failures a worker detects
+        mid-tick -- a raising monitor factory, a broken taQIM -- remain
+        atomic per shard rather than per cluster.
+        """
+        X, Q = validate_tick_frames(
+            frames,
+            n_stateless=self._engine_shape["n_stateless"],
+            has_scope_model=self._engine_shape["has_scope_model"],
+        )
+        if self.transport.requires_wire_ids:
+            # Payloads that cannot cross the codec (exotic ids, non-JSON
+            # scope values) must not half-execute a tick either.
+            # Numpy-scalar scope values are unwrapped to exact Python
+            # equivalents.
+            for frame in frames:
+                require_wire_id(frame.stream_id)
+            scope = [
+                sanitize_wire_scope(frame.scope_factors, frame.stream_id)
+                for frame in frames
+            ]
+        else:
+            scope = [frame.scope_factors for frame in frames]
+        per_shard: list[list[int]] = [[] for _ in self._workers]
+        for index, frame in enumerate(frames):
+            per_shard[self.shard_for(frame.stream_id)].append(index)
+        return {
+            "frames": frames,
+            "X": X,
+            "Q": Q,
+            "new_series": np.fromiter(
+                (frame.new_series for frame in frames), bool, len(frames)
+            ),
+            "scope": scope,
+            "per_shard": per_shard,
+        }
+
+    @staticmethod
+    def _payload(plan: dict, shard: int) -> dict | None:
+        """One shard's stacked-numpy step payload (None: frameless tick).
+
+        Fancy-indexes the tick-wide matrices (one C-level gather per
+        array, bitwise-identical to stacking the shard's rows alone).
+        """
+        indices = plan["per_shard"][shard]
+        if not indices:
+            return None
+        frames = plan["frames"]
+        scope = [plan["scope"][i] for i in indices]
+        idx = np.asarray(indices, dtype=np.intp)
+        return {
+            "ids": [frames[i].stream_id for i in indices],
+            "X": plan["X"][idx],
+            "Q": plan["Q"][idx],
+            "new_series": plan["new_series"][idx],
+            "scope": scope if any(s is not None for s in scope) else None,
+        }
+
+    def _fanout(self, frames: list[StreamFrame], tick: int) -> dict:
+        """Validate, place, stack and send one tick; return its in-flight
+        record (frames, placement, the shards still owing a reply)."""
         tracer = self.tracer
         span = tracer.span if tracer is not None else _null_span
+        with span("fanout", frames=len(frames), shards=self.n_shards):
+            plan = self._plan(frames)
+            per_shard = plan["per_shard"]
+            # Busy shards first, so shard k is computing while the
+            # parent encodes shard k+1; frameless shards get their
+            # (trivial) empty tick last.
+            order = [s for s, indices in enumerate(per_shard) if indices]
+            order += [s for s, indices in enumerate(per_shard) if not indices]
+            record = {
+                "tick": tick,
+                "frames": frames,
+                "per_shard": per_shard,
+                "pending": order,
+                "replies": {},
+                "rpc": {} if tracer is not None else None,
+            }
+            self._send_step(record, plan)
+            if frames:
+                self._fanout_ticks += 1
+        return record
+
+    def _send_step(self, record: dict, plan: dict) -> None:
+        """Overlapped sends of ``record["pending"]``'s step requests.
+
+        Each shard's payload is encoded and on the wire before the next
+        one is built.  Send cost is metered in parent *CPU* time: on an
+        oversubscribed host the send syscall wakes the worker and the
+        scheduler may run the worker's whole step inside the parent's
+        wall-clock window, which is worker compute, not serialization.
+        """
+        tick = record["tick"]
         rpc = record["rpc"]
-        replies = {}
+        sent = []
+        try:
+            for shard in record["pending"]:
+                worker = self._workers[shard]
+                p_start = time.process_time()
+                payload = self._payload(plan, shard)
+                worker.tick_tag = tick
+                if rpc is not None:
+                    # Sampled tick: the request carries a trace context
+                    # (workers piggyback phase timings on the reply) and
+                    # send..recv-done brackets the shard's RPC envelope
+                    # on the wall clock (timelines need wall time).
+                    worker.trace_context = {
+                        "tick": tick,
+                        "shard": shard,
+                        "parent": "await_window",
+                        "sampled": True,
+                    }
+                    rpc[shard] = {"send": time.perf_counter()}
+                worker.send("step", payload)
+                if rpc is not None:
+                    rpc[shard]["sent"] = time.perf_counter()
+                shard_seconds = time.process_time() - p_start
+                self._fanout_encode_seconds += shard_seconds
+                if sent:
+                    # Build + send work done while at least one shard
+                    # was already computing its payload.
+                    self._fanout_overlap_seconds += shard_seconds
+                sent.append(shard)
+        except Exception as error:
+            # Drain this tick's partial sends so the channels stay in
+            # protocol; earlier in-flight ticks keep their owed replies
+            # (abort_window settles them).  An ok reply read here is this
+            # tick's only when nothing older is in flight -- the salvage
+            # resend -- and then that shard has completed the tick.
+            for shard in sent:
+                reply = self._workers[shard].recv()
+                if reply[0] == "ok":
+                    record["replies"][shard] = reply[1]
+                elif not self._workers[shard].alive:
+                    self._note_dead(shard)
+            if isinstance(error, ClusterWorkerError):
+                self._note_dead(error.shard)
+            raise
+
+    def _complete(self, record: dict) -> list[StreamStepResult]:
+        """Receive a fanned-out tick's owed replies, then merge them."""
+        tracer = self.tracer
+        span = tracer.span if tracer is not None else _null_span
+        tick = record["tick"]
+        rpc = record["rpc"]
+        received = {}
         mismatch = None
         for shard in record["pending"]:
             worker = self._workers[shard]
-            with span("await_window", shard=shard, tick=record["tick"]):
-                reply = worker.recv()
-            replies[shard] = reply
+            with span("await_window", shard=shard, tick=tick):
+                received[shard] = reply = worker.recv()
             if rpc is not None and shard in rpc:
                 rpc[shard]["done"] = time.perf_counter()
                 rpc[shard]["telemetry"] = getattr(
                     worker, "last_telemetry", None
                 )
             echo = getattr(worker, "last_reply_tick", None)
-            if reply[0] == "ok" and echo is not None and echo != record["tick"]:
+            if reply[0] == "ok" and echo is not None and echo != tick:
                 mismatch = mismatch or (shard, echo)
         if rpc is not None:
-            self._last_rpc = {"tick": record["tick"], "shards": rpc}
+            self._last_rpc = {"tick": tick, "shards": rpc}
             self._harvest_worker_phases(rpc)
         if mismatch is not None:
             # Belt over the endpoints' suspenders: a reply acknowledged
@@ -1373,55 +1101,84 @@ class ShardedEngine:
             shard, echo = mismatch
             self._note_dead(shard)
             raise ClusterError(
-                f"shard {shard} answered tick {echo}, expected "
-                f"{record['tick']}; reply pairing is broken"
+                f"shard {shard} answered tick {echo}, expected {tick}; "
+                "reply pairing is broken"
             )
+        # Failures report the lowest-numbered failing shard.
         failure = None
-        for shard in sorted(record["pending"]):
-            reply = replies[shard]
-            if reply[0] != "ok":
-                if not self._workers[shard].alive:
-                    self._note_dead(shard)
-                if failure is None:
-                    failure = (shard, reply[1], reply[2])
+        for shard in sorted(received):
+            reply = received[shard]
+            if reply[0] == "ok":
+                record["replies"][shard] = reply[1]
+                continue
+            if not self._workers[shard].alive:
+                self._note_dead(shard)
+            if failure is None:
+                failure = (shard, reply[1], reply[2])
         if failure is not None:
+            if not self._inflight:
+                # Partial-tick salvage: every shard that answered ok has
+                # completed this tick and nothing later has reached it,
+                # so the control plane can revive + replay just the
+                # failed shard(s) and finish the tick via salvage_step()
+                # instead of restoring the whole cluster.
+                self._salvage = record
             raise_worker_error(*failure)
 
         frames = record["frames"]
-        with span("merge_ready", tick=record["tick"], frames=len(frames)):
+        with span("merge_ready", tick=tick, frames=len(frames)):
             results: list[StreamStepResult | None] = [None] * len(frames)
             for shard, indices in enumerate(record["per_shard"]):
                 if indices:
                     self._merge_shard_results(
-                        frames, indices, replies[shard][1], results
+                        frames, indices, record["replies"][shard], results
                     )
         self._tick += 1
         return results
 
-    def _note_depth(self) -> None:
-        if len(self._inflight) > self._inflight_max_depth:
-            self._inflight_max_depth = len(self._inflight)
+    # ------------------------------------------------------------------
+    # Partial-tick salvage (O(dead-shard) recovery)
+    # ------------------------------------------------------------------
+    @property
+    def salvage_pending(self) -> bool:
+        """True when the last failed tick -- the only one in flight --
+        kept its survivors' replies and can complete via
+        :meth:`salvage_step`."""
+        return self._salvage is not None
 
-    @staticmethod
-    def _shard_payload(
-        frames, rows_matrix, quality_matrix, new_series_all, scope_rows, indices
-    ) -> dict:
-        """One shard's stacked-numpy step payload for this tick.
+    def salvage_step(self) -> list[StreamStepResult]:
+        """Complete the last failed tick shard-locally.
 
-        Fancy-indexes the tick-wide matrices (one C-level gather per
-        array, bitwise-identical to the per-shard ``np.vstack`` it
-        replaced at a fraction of the Python overhead).
+        The failed :meth:`collect_batch` kept every surviving shard's ok
+        reply in the tick's in-flight record; after the dead shard is
+        revived (:meth:`revive_shard` with its checkpoint) and replayed
+        to the cluster tick (:meth:`replay_shard`), this resends the
+        tick's payload -- same bytes, same tick tag -- to just the
+        shard(s) that never answered ok, merges the fresh replies with
+        the kept ones in input order, and completes the cluster tick.
+        If a resent shard fails again the record stays kept (minus any
+        shard that answered ok meanwhile), so the caller can revive and
+        try once more, or fall back to whole-cluster restore + replay.
         """
-        scope = [scope_rows[i] for i in indices]
-        idx = np.asarray(indices, dtype=np.intp)
-        return {
-            "ids": [frames[i].stream_id for i in indices],
-            "X": rows_matrix[idx],
-            "Q": quality_matrix[idx],
-            "new_series": new_series_all[idx],
-            "scope": scope if any(s is not None for s in scope) else None,
-        }
-
+        self._require_healthy()
+        self._require_drained()
+        record = self._salvage
+        if record is None:
+            raise ClusterError("no partially-completed tick to salvage")
+        self._salvage = None
+        record["pending"] = [
+            shard
+            for shard in record["pending"]
+            if shard not in record["replies"]
+        ]
+        if record["rpc"] is not None:
+            record["rpc"] = {}
+        try:
+            self._send_step(record, self._plan(record["frames"]))
+        except ClusterWorkerError:
+            self._salvage = record
+            raise
+        return self._complete(record)
     @staticmethod
     def _merge_shard_results(frames, indices, encoded, results) -> None:
         """Decode one shard's struct-of-arrays reply into the result list."""

@@ -31,6 +31,7 @@ every model in this codebase is.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,19 +121,25 @@ class StreamStepResult:
 
 def validate_tick_frames(
     frames: list[StreamFrame], n_stateless: int, has_scope_model: bool
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Whole-tick input validation, shared by the single-process engine
-    and the sharded cluster's parent.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-tick input validation, shared by the single-process engine,
+    the sharded cluster's parent, and the controller's admission intake.
 
     Checks everything checkable without the models -- duplicate stream
-    ids, one-row model inputs, stateless-quality width, scope-factor
-    presence -- and raises :class:`ValidationError` before any state
-    changes anywhere.  Sharing one implementation keeps the cluster's
-    whole-tick atomic reject byte-identical (messages included) to the
-    single engine's.
+    ids, one-row model inputs of one width, stateless-quality width,
+    finite values, scope-factor presence -- and raises
+    :class:`ValidationError` before any state changes anywhere.  Sharing
+    one implementation keeps the cluster's whole-tick atomic reject
+    byte-identical (messages included) to the single engine's.
 
-    Returns the converted ``(model_input_rows, quality_rows)`` as 1-D
-    float arrays, ready for ``np.vstack``.
+    Non-finite inputs (NaN or inf in ``model_input`` or the stateless
+    quality values) reject the whole tick: a DDM and a quality tree fed
+    garbage still produce an outcome and a *confident* uncertainty, so
+    serving them would be a dependability violation.  The check is one
+    vectorised ``np.isfinite`` pass over the stacked matrices.
+
+    Returns the stacked ``(X, Q)`` matrices: one model-input row and one
+    stateless-quality row per frame, in input order.
     """
     seen: set = set()
     rows, quality = [], []
@@ -162,7 +169,23 @@ def validate_tick_frames(
             )
         rows.append(row[0])
         quality.append(q)
-    return rows, quality
+    if not frames:
+        return np.empty((0, 0)), np.empty((0, n_stateless))
+    try:
+        X = np.asarray(rows)
+    except ValueError:
+        raise ValidationError(
+            "model_input rows of one tick must all have the same width"
+        ) from None
+    Q = np.asarray(quality)
+    if not (np.isfinite(X).all() and np.isfinite(Q).all()):
+        bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Q).all(axis=1))
+        first = frames[int(np.flatnonzero(bad)[0])]
+        raise ValidationError(
+            f"stream {first.stream_id!r}: model_input and stateless quality "
+            "values must be finite (NaN/inf rejects the whole tick)"
+        )
+    return X, Q
 
 
 class StreamingEngine:
@@ -222,6 +245,8 @@ class StreamingEngine:
             idle_ttl=idle_ttl,
         )
         self._tick = 0
+        #: Results of submitted-but-uncollected ticks, oldest first.
+        self._ready: deque[list[StreamStepResult]] = deque()
 
     @property
     def tick(self) -> int:
@@ -257,6 +282,33 @@ class StreamingEngine:
             return self._evaluate(prepared)
         finally:
             self._finish_tick()
+
+    def submit_batch(self, frames: Sequence[StreamFrame]) -> int:
+        """Step one tick now; hold its results for :meth:`collect_batch`.
+
+        The split-phase surface the control plane drives every engine
+        through (see :meth:`~repro.serving.cluster.ShardedEngine.submit_batch`).
+        One process has nothing to overlap, so the tick runs here --
+        errors raise here, exactly as from :meth:`step_batch` -- and
+        collect hands the results back in submission order.  Returns the
+        submitted tick's number.
+        """
+        self._ready.append(self.step_batch(frames))
+        return self._tick
+
+    def collect_batch(self) -> list[StreamStepResult]:
+        """The results of the oldest submitted tick."""
+        if not self._ready:
+            raise ValidationError("collect_batch() with no tick in flight")
+        return self._ready.popleft()
+
+    def abort_window(self) -> int:
+        """Drop every uncollected tick's results; returns how many.  The
+        ticks themselves stay stepped -- a single engine has no replies
+        to settle."""
+        aborted = len(self._ready)
+        self._ready.clear()
+        return aborted
 
     def _finish_tick(self) -> None:
         # Sweep with the current tick, then advance: a stream seen at
@@ -322,13 +374,11 @@ class StreamingEngine:
     def _prepare(self, frames: list[StreamFrame]):
         """Everything fallible before state changes: validation, the DDM
         pass, the stateless-QIM pass, and (atomic) state acquisition."""
-        rows, quality = validate_tick_frames(
+        X, Q = validate_tick_frames(
             frames,
             n_stateless=len(self.layout.stateless_names),
             has_scope_model=self.scope_model is not None,
         )
-        X = np.vstack(rows)
-        Q = np.vstack(quality)
         predictions = np.asarray(self.ddm.predict(X)).ravel()
         if predictions.size != len(frames):
             raise ValidationError(

@@ -28,18 +28,23 @@ least as dependable as the estimates it produces.
    -- while every surviving shard keeps serving state untouched.  The
    whole-cluster restore from the merged in-memory snapshot (via the
    same ``to_wire``/``from_wire`` path snapshots always travel) remains
-   the fallback for everything else: pipelined windows, send-phase
-   losses, missing checkpoints.
+   the fallback for everything else: a failed tick with later ticks
+   still in flight (they advanced the survivors), send-phase losses,
+   missing checkpoints.
 3. **Replay** -- again shard-locally when possible: the bounded *tick
    journal* (the admitted frame batches of every tick since the
    checkpoint) is filtered to the dead shard's frames and resent to it
    alone (``replay_shard``), O(dead shard) instead of O(cluster); the
    fallback replays every batch through ``step_batch``.
-4. **Retry** the interrupted operation -- or, for a lockstep step whose
-   surviving shards already answered, *salvage* it: the kept ok replies
-   merge with a resend to just the failed shard
+4. **Retry** the interrupted operation (after re-submitting every
+   admitted but uncollected tick) -- or, for a failed tick that was the
+   only one in flight and whose surviving shards already answered,
+   *salvage* it: the kept ok replies merge with a resend of the same
+   tick-tagged payload to just the failed shard
    (:meth:`~repro.serving.cluster.ShardedEngine.salvage_step`), so the
-   survivors never re-step the tick.
+   survivors never re-step the tick.  That holds at any window size:
+   a windowed run recovers shard-locally whenever the failing tick is
+   alone in the window.
 
 Because every engine in this codebase is deterministic, restore + replay
 + retry reproduces the uninterrupted run bit for bit: the caller sees

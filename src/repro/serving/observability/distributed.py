@@ -1,7 +1,7 @@
 """Distributed tracing and SLOs: cross-process timelines, burn rates.
 
 The controller's :class:`~repro.serving.observability.tracing.TickTracer`
-sees ``shard_step`` as one opaque wall-clock span per shard.  This module
+sees ``await_window`` as one opaque wall-clock span per shard.  This module
 supplies everything needed to open that box:
 
 * **clock rebasing** -- workers run in other processes (possibly other
@@ -196,10 +196,10 @@ def assemble_tick_timeline(trace, shard_records=None, clock_offsets=None):
     ``trace`` is a :class:`~repro.serving.observability.tracing.TickTrace`
     whose spans carry absolute start timestamps; ``shard_records`` maps
     shard -> ``{"send", "sent", "done", "telemetry"}`` as captured by
-    ``ShardedEngine.step_batch`` (controller clock); ``clock_offsets``
+    ``ShardedEngine`` (``last_rpc``; controller clock); ``clock_offsets``
     maps shard -> offset (or ``{"offset": ...}``) from the ``hello``
     handshake.  Worker spans are rebased and clamped inside the shard's
-    ``shard_step`` envelope so the merged timeline always nests.
+    ``await_window`` envelope so the merged timeline always nests.
     """
     spans = []
     envelopes = {}
@@ -215,13 +215,13 @@ def assemble_tick_timeline(trace, shard_records=None, clock_offsets=None):
             dict(record.meta),
         )
         spans.append(span)
-        if record.name == "shard_step" and "shard" in record.meta:
+        if record.name == "await_window" and "shard" in record.meta:
             envelopes[record.meta["shard"]] = span
     for shard, record in sorted((shard_records or {}).items()):
         envelope = envelopes.get(shard)
         rpc = dict(record)
         if envelope is not None:
-            # The controller's own shard_step span is the authoritative
+            # The controller's own await_window span is the authoritative
             # parent: clamp against it, not the raw send/recv reads.
             rpc["send"] = max(
                 envelope.start, float(record.get("send", envelope.start))
@@ -343,7 +343,7 @@ def timeline_from_flight(directory) -> list:
 
     Flight logs journal every wire frame with a monotonic timestamp, so
     a request/reply pair brackets the shard's round trip.  Each ``step``
-    round trip becomes one ``shard_step`` span; a log recorded by a
+    round trip becomes one ``await_window`` span; a log recorded by a
     build without journal timestamps is rejected loudly.
     """
     from repro.serving.observability.flight import read_flight_log
@@ -368,7 +368,7 @@ def timeline_from_flight(directory) -> list:
             start = pending.pop(record.shard)
             ticks.setdefault(tick_index, []).append(
                 TimelineSpan(
-                    "shard_step",
+                    "await_window",
                     start,
                     max(record.ts - start, 0.0),
                     CONTROLLER_TRACK,

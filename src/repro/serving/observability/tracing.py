@@ -1,15 +1,14 @@
 """Span-style tracing of the serving tick phases.
 
 One controller tick passes through a fixed pipeline -- intake ->
-admission -> fan-out -> per-shard step -> merge -> snapshot (-> failover
+admission -> fan-out -> await replies -> merge -> snapshot (-> failover
 recovery when a worker died) -- and this module measures each phase as a
 *span*: a named duration with JSON-safe metadata.  The
 :class:`~repro.serving.controller.ServingController` opens a trace per
 tick and closes it into a :class:`TickTrace`;
 :class:`~repro.serving.cluster.ShardedEngine` contributes the fan-out /
-shard-step / merge spans of the same tick through its ``tracer``
-attribute, so one record shows where a tick's wall time went across both
-layers.
+await / merge spans of the same tick through its ``tracer`` attribute,
+so one record shows where a tick's wall time went across both layers.
 
 Determinism: the tracer's clock is injectable, exactly like the
 controller's -- a test scripting ``clock=[0.0, 0.5, ...]`` gets
@@ -19,9 +18,10 @@ window), and a :class:`~repro.serving.observability.metrics.Histogram`
 of phase durations is published by the controller from these spans, so
 metrics and traces can never disagree.
 
-Spans are *flat* within a tick: the ``step`` span covers the whole
-``step_batch`` call and the engine's ``fanout``/``shard_step``/``merge``
-spans appear alongside it (their sum is a lower bound of ``step``).
+Spans are *flat* within a tick: the ``step`` span runs from the tick's
+submit to its merged results and the engine's
+``fanout``/``await_window``/``merge_ready`` spans appear alongside it
+(their sum is a lower bound of ``step``).
 Recovery work replayed during a failover lands in the interrupted tick's
 trace -- the stall is real and the trace shows it.
 """
@@ -37,22 +37,21 @@ from repro.exceptions import ValidationError
 __all__ = ["PHASES", "SpanRecord", "TickTrace", "TickTracer", "null_span"]
 
 #: The tick phases the serving stack instruments, in pipeline order.
-#: ``step`` is the controller-level envelope around the engine call;
-#: ``fanout``/``shard_step``/``merge`` are the cluster's sub-phases of
-#: it; ``recovery`` appears only on ticks that performed a failover.
-#: Pipelined (windowed) serving replaces ``shard_step``/``merge`` with
-#: ``await_window`` (blocking on the oldest in-flight tick's replies --
-#: the true pipeline stall, which shrinks as submits overlap it) and
-#: ``merge_ready`` (merging a tick whose replies have all landed); a
-#: Perfetto export shows tick t+1's ``fanout`` starting before tick t's
-#: ``await_window`` closes, which is the overlap made visible.
+#: ``step`` is the controller-level envelope from a tick's submit to its
+#: merged results; ``fanout`` (validate, place, encode, send),
+#: ``await_window`` (blocking on one shard's reply to the oldest
+#: in-flight tick -- the true pipeline stall, which shrinks as submits
+#: overlap it) and ``merge_ready`` (merging a tick whose replies have
+#: all landed) are the cluster's sub-phases of it, at every window size;
+#: ``recovery`` appears only on ticks that performed a failover.  With a
+#: window above 1 a Perfetto export shows tick t+1's ``fanout`` starting
+#: before tick t's ``await_window`` closes, which is the overlap made
+#: visible.
 PHASES = (
     "intake",
     "admission",
     "fanout",
-    "shard_step",
     "await_window",
-    "merge",
     "merge_ready",
     "step",
     "snapshot",

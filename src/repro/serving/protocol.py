@@ -99,13 +99,14 @@ TRACE_META_KEY = "_trace"
 #: Stripped symmetrically on decode.
 TELEMETRY_META_KEY = "_telemetry"
 
-#: Reserved meta key tagging a frame with its tick number.  Under a
-#: pipelined (windowed) tick loop more than one step request can be in
-#: flight per shard; the parent tags each request with the tick it
-#: belongs to and the worker echoes the tag on its reply, so the parent
-#: can assert that replies pair up with requests in admitted order.
-#: Stripped before command decoders run; absent frames encode
-#: byte-identically to a pre-windowing peer's.
+#: Reserved meta key tagging a frame with its tick number.  With a tick
+#: window above 1 more than one step request can be in flight per
+#: shard; the parent tags every step request with the tick it belongs
+#: to and the worker echoes the tag on its reply, so the parent can
+#: assert that replies pair up with requests in admitted order.
+#: Stripped before command decoders run; untagged frames (every
+#: control-plane command) encode byte-identically to a pre-windowing
+#: peer's.
 TICK_META_KEY = "_tick"
 
 _PREFIX = struct.Struct(">4sHI")  # magic, version, header length

@@ -165,9 +165,9 @@ def replay_results(engine, workload: StreamWorkload) -> dict[object, list]:
 
     Like :func:`replay_engine` but retains each :class:`StreamStepResult`
     (monitor verdicts included) instead of just the outcome -- the shape
-    the cluster equivalence checks compare, and transport-agnostic: any
-    object with ``step_batch`` (a :class:`StreamingEngine` or a
-    :class:`~repro.serving.cluster.ShardedEngine` on any transport) fits.
+    the cluster equivalence checks compare, and transport-agnostic: a
+    :class:`StreamingEngine` or a
+    :class:`~repro.serving.cluster.ShardedEngine` on any transport fits.
     The tick loop is the control plane's (policy-free), so every replay
     exercises the same driver the CLI and benchmarks use; the engine is
     left open (the caller owns its lifecycle).

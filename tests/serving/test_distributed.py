@@ -5,7 +5,7 @@ The guarantees under test:
 * clock rebasing is exact arithmetic (NTP midpoint +/- RTT/2), and a
   scripted clock skew is recovered bit-exactly;
 * timeline assembly always *nests*: every rebased worker span lands
-  strictly inside its shard's ``shard_step`` envelope, no matter how
+  strictly inside its shard's ``await_window`` envelope, no matter how
   skewed the injected worker clock is;
 * the trace-context/telemetry side channel is invisible to payloads --
   a traced cluster run is bitwise-identical to an untraced one, on
@@ -142,14 +142,14 @@ class TestClockOffset:
 # ---------------------------------------------------------------------------
 
 def synthetic_trace(tick=7):
-    """A controller trace with two shard_step envelopes on [1.0, 1.4]."""
+    """A controller trace with two await_window envelopes on [1.0, 1.4]."""
     return TickTrace(
         tick=tick,
         spans=(
             SpanRecord("intake", 0.05, {}, 0.90),
             SpanRecord("step", 0.45, {"frames": 8}, 0.95),
-            SpanRecord("shard_step", 0.40, {"shard": 0}, 1.00),
-            SpanRecord("shard_step", 0.35, {"shard": 1}, 1.02),
+            SpanRecord("await_window", 0.40, {"shard": 0}, 1.00),
+            SpanRecord("await_window", 0.35, {"shard": 1}, 1.02),
             SpanRecord("external", 0.01, {}),  # no start: duration-only
         ),
     )
@@ -191,7 +191,7 @@ class TestTimelineAssembly:
         envelopes = {
             span.meta["shard"]: span
             for span in timeline.spans
-            if span.name == "shard_step"
+            if span.name == "await_window"
         }
         assert set(envelopes) == {0, 1}
         for shard in (0, 1):
@@ -217,7 +217,7 @@ class TestTimelineAssembly:
             synthetic_trace(), records, {0: 99.0}
         )
         parent = next(
-            s for s in timeline.spans if s.name == "shard_step"
+            s for s in timeline.spans if s.name == "await_window"
             and s.meta["shard"] == 0
         )
         for span in timeline.spans:
@@ -289,7 +289,9 @@ class TestTraceEventExport:
 
 class TestTraceProtocol:
     def test_trace_meta_round_trips_and_is_stripped(self):
-        trace = {"tick": 3, "shard": 1, "parent": "shard_step", "sampled": True}
+        trace = {
+            "tick": 3, "shard": 1, "parent": "await_window", "sampled": True
+        }
         data = encode_request("ids", None, trace=trace)
         command, payload, decoded = decode_request_traced(data)
         assert (command, payload) == ("ids", None)
@@ -435,10 +437,10 @@ class TestClusterTracing:
 
         # Every tick merged both shards' worker spans into the timeline.
         for timeline in timelines:
-            shard_steps = [
-                s for s in timeline.spans if s.name == "shard_step"
+            await_windows = [
+                s for s in timeline.spans if s.name == "await_window"
             ]
-            assert len(shard_steps) == 2
+            assert len(await_windows) == 2
             assert {f"shard {s} worker" for s in (0, 1)} <= set(
                 timeline.tracks()
             )
@@ -507,7 +509,7 @@ class TestClusterTracing:
                 parent = next(
                     s
                     for s in timeline.spans
-                    if s.name == "shard_step" and s.meta["shard"] == shard
+                    if s.name == "await_window" and s.meta["shard"] == shard
                 )
                 for span in workers:
                     assert parent.start < span.start
@@ -559,7 +561,7 @@ class TestFlightTimeline:
             shards = sorted(span.meta["shard"] for span in timeline.spans)
             assert shards == [0, 1]
             for span in timeline.spans:
-                assert span.name == "shard_step"
+                assert span.name == "await_window"
                 assert span.seconds >= 0.0
                 assert span.meta["status"] == "ok"
 
@@ -593,12 +595,12 @@ class TestFlightTimeline:
         assert validate_trace_events(payload) > 0
 
         # Containment in the exported file itself: every worker-track
-        # event nests inside its tick's shard_step on the same shard.
+        # event nests inside its tick's await_window on the same shard.
         events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         envelopes = {
             (event["args"]["tick"], event["args"]["shard"]): event
             for event in events
-            if event["name"] == "shard_step"
+            if event["name"] == "await_window"
         }
         worker_events = [e for e in events if e["name"] == "worker"]
         assert worker_events

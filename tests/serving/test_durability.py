@@ -591,14 +591,21 @@ class TestControllerDurability:
             snapshot_mode="bg",
             snapshot_deltas=4,
         )
-        real_submit = controller._snapshot_writer.submit
+        writer = controller._snapshot_writer
+        real_submit = writer.submit
         refused = []
 
         def flaky_submit(label, write):
             if "delta_000002" in label and not refused:
                 refused.append(label)  # queue "full" for this one write
                 return False
-            return real_submit(label, write)
+            accepted = real_submit(label, write)
+            if accepted:
+                # Wait for the write to land, so a lagging writer thread
+                # can never overrun the bounded queue: the refusal above
+                # stays the only drop, whatever the scheduling.
+                writer.drain()
+            return accepted
 
         monkeypatch.setattr(controller._snapshot_writer, "submit", flaky_submit)
         with controller:

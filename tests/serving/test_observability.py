@@ -242,17 +242,17 @@ class TestTracer:
         tracer = TickTracer(clock=lambda: next(reads))
         with tracer.span("fanout", shards=2):
             pass
-        with tracer.span("shard_step", shard=0):
+        with tracer.span("await_window", shard=0):
             pass
-        with tracer.span("shard_step", shard=1):
+        with tracer.span("await_window", shard=1):
             pass
         trace = tracer.end_tick(7)
         assert trace.tick == 7
         assert [s.name for s in trace.spans] == [
-            "fanout", "shard_step", "shard_step"
+            "fanout", "await_window", "await_window"
         ]
         assert trace.seconds("fanout") == 0.5
-        assert trace.seconds("shard_step") == 0.25 + 0.125
+        assert trace.seconds("await_window") == 0.25 + 0.125
         assert trace.as_dict()["spans"][0] == {
             "name": "fanout", "seconds": 0.5, "meta": {"shards": 2}
         }
@@ -375,9 +375,49 @@ class TestControllerMetrics:
             ].items()
             if key[0] == "repro_tick_phase_seconds_count"
         }
-        for phase in ("intake", "admission", "step", "fanout", "merge"):
+        for phase in (
+            "intake", "admission", "step", "fanout", "merge_ready"
+        ):
             assert phase_counts.get(phase) == stats.ticks, phase
-        assert phase_counts.get("shard_step") == 2 * stats.ticks
+        assert phase_counts.get("await_window") == 2 * stats.ticks
+
+    def test_duration_help_names_its_clock(
+        self, synthetic_stack, series_maker
+    ):
+        # Every duration family says which clock it reads, and says it
+        # right: fan-out encode/overlap are parent CPU time
+        # (process_time, see ShardedEngine.fanout_stats); everything
+        # else is wall time.  A new *_seconds* family must join the map.
+        registry = MetricsRegistry()
+        self.run_cluster(synthetic_stack, series_maker, registry)
+        families = parse_prometheus(registry.render_prometheus())
+        expected = {
+            "repro_snapshot_write_seconds": "wall",
+            "repro_controller_recovery_seconds_total": "wall",
+            "repro_fanout_encode_seconds_total": "cpu",
+            "repro_fanout_overlap_seconds_total": "cpu",
+            "repro_controller_latency_ewma_seconds": "wall",
+            "repro_tick_latency_seconds": "wall",
+            "repro_tick_phase_seconds": "wall",
+            "repro_recovery_seconds": "wall",
+            "repro_cluster_worker_phase_seconds_total": "wall",
+        }
+
+        def clock(help_text):
+            text = help_text.lower()
+            named = {
+                name
+                for name, phrase in (("wall", "wall time"), ("cpu", "cpu time"))
+                if phrase in text
+            }
+            assert len(named) == 1, help_text
+            return named.pop()
+
+        assert {
+            name: clock(family["help"])
+            for name, family in families.items()
+            if "_seconds" in name
+        } == expected
 
     def test_failover_counters_match_stats(
         self, synthetic_stack, series_maker

@@ -5,9 +5,9 @@ The tentpole property: a :class:`ShardedEngine` built with
 t+1's shard payloads are on the wire while tick t's replies stream back
 -- and the merged per-stream results are **bitwise-identical, in
 admitted order**, to the lockstep loop on every transport, at every
-shard count, chaos faults included.  ``inflight_window == 1`` *is* the
-lockstep path (no tick tags on the wire, byte-for-byte the pre-windowing
-protocol).
+shard count, chaos faults included.  Every window size runs the one
+tick path: ``inflight_window == 1`` is that path with each tick collected
+before the next is submitted, tick tags on the wire included.
 
 Proven here:
 
@@ -158,8 +158,10 @@ class TestWindowedEquivalence:
     def test_window_one_is_the_lockstep_path(
         self, synthetic_stack, series_maker
     ):
-        # window == 1 must route through the untouched step_batch loop:
-        # no windowed bookkeeping, no depth, identical results.
+        # window == 1 is the same submit/collect loop, one tick deep:
+        # each tick is collected before the next is submitted, so the
+        # window never holds a second tick and nothing is left in flight
+        # when a tick's bookkeeping runs.
         factory = make_factory(synthetic_stack, **monitored_kwargs())
         ticks = _series_ticks(series_maker, 505, 10, 6)
         expected, expected_stats = single_baseline(factory, ticks)
@@ -171,8 +173,8 @@ class TestWindowedEquivalence:
         assert got == expected
         assert stats == expected_stats
         assert inflight["window"] == 1
-        assert inflight["max_depth"] == 0  # submit_batch never ran
-        assert controller.stats.max_inflight_depth == 0
+        assert inflight["max_depth"] == 1
+        assert controller.stats.max_inflight_depth == 1
         assert all(t.inflight_depth == 0 for t in controller.telemetry)
 
     def test_snapshots_and_checkpoints_keep_lockstep_cadence(
@@ -347,6 +349,42 @@ class TestWindowedFailover:
         # Admitted-but-uncollected ticks were re-submitted in admitted
         # order after recovery: the run is indistinguishable from a
         # fault-free one, statistics included.
+        assert got == expected
+        assert stats == expected_stats
+
+    @pytest.mark.parametrize("transport", ["inproc", "pipe"])
+    def test_failing_tick_alone_in_the_window_recovers_shard_locally(
+        self, synthetic_stack, series_maker, transport
+    ):
+        # The run's last tick is collected with nothing behind it in the
+        # window, so its survivor's reply is kept: recovery revives and
+        # replays only the dead shard, the survivor never re-steps, and
+        # the run stays bitwise-exact.
+        factory = make_factory(synthetic_stack, **monitored_kwargs())
+        length = 8
+        ticks = _series_ticks(series_maker, 531, 10, length, new_series_at=3)
+        expected, expected_stats = single_baseline(factory, ticks)
+        victim, survivor = 1, 0
+        faults = [
+            ChaosFault(
+                victim, "step", index=length - 1, mode="kill", phase="recv"
+            )
+        ]
+        with _WindowedCluster(
+            transport, factory, 2, window=2, faults=faults
+        ) as harness:
+            controller = ServingController(
+                harness.cluster, failover=policy()
+            )
+            got = controller.run(ticks)
+            stats = harness.cluster.statistics()
+            counts = harness.chaos._counts
+            assert not harness.chaos.pending_faults
+            assert controller.stats.failovers == 1
+            assert controller.stats.shard_recoveries == 1
+            assert controller.stats.max_inflight_depth == 2
+        assert counts[(survivor, "step")] == length
+        assert (survivor, "restore") not in counts
         assert got == expected
         assert stats == expected_stats
 
@@ -539,8 +577,9 @@ class TestWindowedObservability:
         # The overlap, on the timeline: tick 3's trace carries tick 4's
         # fan-out span (submitted while tick 3's replies were still on
         # the wire), and that fan-out STARTED before tick 3's replies
-        # were awaited.  A lockstep trace has no await_window span at
-        # all, so this is the windowed loop's signature.
+        # were awaited.  At window 1 the next tick is submitted only
+        # after this trace closes, so this is the windowed loop's
+        # signature.
         fanouts = [s for s in middle.spans if s.name == "fanout"]
         awaits = [s for s in middle.spans if s.name == "await_window"]
         assert fanouts and awaits
