@@ -121,11 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=1,
                        help="worker processes; > 1 serves through the "
                             "sharded cluster engine")
-    serve.add_argument("--transport", choices=["pipe", "shm", "inproc"],
+    serve.add_argument("--transport", choices=["pipe", "inproc"],
                        default="pipe",
                        help="cluster transport when --shards > 1 "
-                            "(forked pipe workers, shared-memory rings, "
-                            "or in-process loopback)")
+                            "(forked pipe workers or in-process loopback)")
     serve.add_argument("--snapshot-every", type=int, default=0, metavar="K",
                        help="write a registry snapshot every K ticks")
     serve.add_argument("--snapshot-dir", default="snapshots", metavar="DIR",
@@ -161,12 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--shards", type=int, default=4,
                          help="number of shard workers")
     cluster.add_argument("--transport",
-                         choices=["pipe", "shm", "inproc", "tcp"],
+                         choices=["pipe", "inproc", "tcp"],
                          default="pipe",
                          help="worker transport: forked pipe workers "
-                              "(default), zero-copy shared-memory rings, "
-                              "in-process loopback, or TCP to remote "
-                              "serve-worker processes (--workers)")
+                              "(default), in-process loopback, or TCP to "
+                              "remote serve-worker processes (--workers)")
     cluster.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
                          help="worker addresses for --transport tcp, one "
                               "per shard in shard order")

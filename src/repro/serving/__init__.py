@@ -12,10 +12,9 @@ The runtime-facing layer above the core wrapper, in three tiers:
   across shard workers by consistent hashing and merges each tick back in
   input order.  Workers are reached through a pluggable transport
   (:mod:`repro.serving.transport`: in-proc loopback, forked pipe workers,
-  zero-copy shared-memory rings (:mod:`repro.serving.shm`), or TCP to
-  ``repro serve-worker`` processes on other machines), all speaking the
-  versioned pickle-free wire codec of :mod:`repro.serving.protocol` --
-  encoded through a reusable
+  or TCP to ``repro serve-worker`` processes on other machines), all
+  speaking the versioned pickle-free wire codec of
+  :mod:`repro.serving.protocol` -- encoded through a reusable
   :class:`~repro.serving.protocol.BufferPool` so steady-state ticks
   copy each array payload exactly once and allocate nothing; :mod:`repro.serving.state`
   snapshot/restore makes the whole registry durable across restarts,
@@ -95,7 +94,6 @@ from repro.serving.state import (
     StreamStateSnapshot,
     compose_snapshot,
 )
-from repro.serving.shm import ShmTransport
 from repro.serving.transport import (
     InprocTransport,
     PipeTransport,
@@ -140,7 +138,6 @@ __all__ = [
     "Transport",
     "InprocTransport",
     "PipeTransport",
-    "ShmTransport",
     "TcpTransport",
     "serve_worker",
     "launch_local_workers",

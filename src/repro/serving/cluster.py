@@ -699,7 +699,7 @@ class ShardedEngine:
         ``pool`` mirrors the transport's send-side
         :class:`~repro.serving.protocol.BufferPool` counters (hits,
         misses, bytes_copied) for transports that pool their frame
-        buffers (pipe, shm); transports without a pool omit the key.
+        buffers (pipe); transports without a pool omit the key.
 
         ``inflight`` describes the tick window: the configured ``window``
         bound, current ``depth`` (submitted-but-uncollected ticks), the

@@ -270,7 +270,11 @@ class FlightRecordingEndpoint(WorkerEndpoint):
         # all-or-nothing broadcasts depend on that) -- recording an
         # inproc cluster enforces the same wire discipline a pipe/TCP
         # cluster always had.
-        return (command, encode_request(command, payload), self._inner.prepare(command, payload))
+        return (
+            command,
+            encode_request(command, payload).join(),
+            self._inner.prepare(command, payload),
+        )
 
     def send_prepared(self, token) -> None:
         command, data, inner_token = token
@@ -303,7 +307,8 @@ class FlightRecordingEndpoint(WorkerEndpoint):
             # over, so replay skips it.
             status = "transport"
         self._recorder.journal(
-            self.shard, "rep", command, status, encode_reply(command, reply)
+            self.shard, "rep", command, status,
+            encode_reply(command, reply).join(),
         )
         return reply
 
@@ -537,7 +542,7 @@ def replay_flight(directory, engine_factory) -> FlightReplayReport:
             report.skipped += 1  # dead-peer verdict; nothing to recompute
             continue
 
-        command, payload = decode_request(request.data)
+        command, payload, _, _ = decode_request(request.data)
         if command != record.command:
             raise ValidationError(
                 f"flight log record {record.seq}: reply command "
@@ -561,7 +566,7 @@ def replay_flight(directory, engine_factory) -> FlightReplayReport:
                 computed = ("ok", servicer.handle(command, payload))
             except Exception as error:
                 computed = ("error", type(error).__name__, str(error))
-        encoded = encode_reply(command, computed)
+        encoded = encode_reply(command, computed).join()
         report.compared += 1
         if encoded != record.data:
             report.mismatches.append(

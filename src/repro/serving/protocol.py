@@ -32,17 +32,19 @@ peers fail loudly at the first frame instead of corrupting registry state.
 Layering: :func:`encode_frame` / :func:`decode_frame` know only the frame
 format; :func:`encode_request` / :func:`decode_request` and
 :func:`encode_reply` / :func:`decode_reply` map each worker command's
-payload onto (meta, arrays) and back.  Transports move opaque ``bytes``.
+payload onto (meta, arrays) and back.  Each layer has exactly one
+encoder and one decoder.
 
-Zero-copy path: :func:`encode_frame_parts` stops one step earlier than
-:func:`encode_frame` -- it returns a :class:`FrameSegments` holding the
-packed prefix + header plus a borrowed ``memoryview`` per C-contiguous
-array segment, without materializing the joined frame.  Channels with a
-vectored ``send_frame`` write those segments straight to the wire (TCP
-``sendmsg``, shm ring slots), and :class:`BufferPool` assembles them into
-reusable size-classed buffers for channels that need one contiguous
-send -- either way each array's payload is copied exactly once.  The
-joined bytes are identical to :func:`encode_frame` output byte-for-byte.
+Encoders return a :class:`FrameSegments` gather list, never joined
+bytes: the packed prefix + header plus a borrowed ``memoryview`` per
+C-contiguous array segment.  A channel's ``send_frame`` writes those
+segments straight to the wire (TCP ``sendmsg``) or assembles them into
+a reusable size-classed :class:`BufferPool` buffer (pipe), so each
+array's payload is copied exactly once on the way out.  Callers that
+need the frame as one ``bytes`` object (the flight recorder, tests)
+call :meth:`FrameSegments.join`.  Decoders take any bytes-like frame
+and return the full decoded tuple: the payload plus the reserved
+``_trace`` / ``_telemetry`` / ``_tick`` meta values, split out.
 """
 
 from __future__ import annotations
@@ -67,18 +69,11 @@ __all__ = [
     "FrameSegments",
     "PooledFrame",
     "encode_frame",
-    "encode_frame_parts",
     "decode_frame",
     "encode_request",
-    "encode_request_parts",
     "decode_request",
-    "decode_request_full",
-    "decode_request_traced",
     "encode_reply",
-    "encode_reply_parts",
     "decode_reply",
-    "decode_reply_full",
-    "decode_reply_telemetry",
     "require_wire_id",
     "sanitize_wire_scope",
 ]
@@ -173,13 +168,10 @@ class FrameSegments:
 
     ``segments[0]`` is the owned ``bytes`` of prefix + JSON header;
     every following entry is a byte-``memoryview`` borrowed from a
-    C-contiguous numpy array (or ``b""`` for empty arrays).  The views
-    stay valid as long as ``_keepalive`` pins the backing arrays, so a
-    ``FrameSegments`` must be consumed (sent / joined / copied into a
-    pool buffer) before the tick's payload arrays are mutated.
-
-    Joining the segments yields byte-for-byte the :func:`encode_frame`
-    output for the same inputs.
+    C-contiguous numpy array.  The views stay valid as long as
+    ``_keepalive`` pins the backing arrays, so a ``FrameSegments`` must
+    be consumed (sent / joined / copied into a pool buffer) before the
+    tick's payload arrays are mutated.
     """
 
     segments: list
@@ -195,9 +187,9 @@ class FrameSegments:
     def copy_into(self, buffer, offset: int = 0) -> int:
         """Scatter-copy every segment into ``buffer`` at ``offset``.
 
-        ``buffer`` is any writable bytes-like (pooled ``bytearray``, shm
-        ring slot ``memoryview``).  Returns the number of bytes written;
-        each segment is copied exactly once.
+        ``buffer`` is any writable bytes-like, such as a pooled
+        ``bytearray``.  Returns the number of bytes written; each
+        segment is copied exactly once.
         """
         for segment in self.segments:
             n = len(segment)
@@ -207,16 +199,18 @@ class FrameSegments:
         return self.nbytes
 
 
-def encode_frame_parts(
+def encode_frame(
     kind: str, meta: dict | None = None, arrays: dict | None = None
 ) -> FrameSegments:
     """Encode one frame into a :class:`FrameSegments` gather list.
 
-    The zero-copy core of :func:`encode_frame`: C-contiguous arrays are
-    *not* copied here -- their raw memory rides along as borrowed
-    memoryviews for the channel (or pool) to copy exactly once at send
-    time.  Non-contiguous inputs are made contiguous first (one
-    unavoidable copy, as before).
+    ``meta`` must be JSON-serializable; ``arrays`` maps names to numpy
+    arrays (any dtype/shape; explicit byte order on the wire).
+    C-contiguous arrays are *not* copied here -- their raw memory rides
+    along as borrowed memoryviews for the channel (or pool) to copy
+    exactly once at send time.  Non-contiguous inputs are made
+    contiguous first (one unavoidable copy).  Zero-sized arrays add a
+    manifest entry but no segment.
     """
     arrays = arrays or {}
     manifest = []
@@ -251,17 +245,6 @@ def encode_frame_parts(
     return FrameSegments(
         segments=segments, nbytes=nbytes, _keepalive=tuple(keepalive)
     )
-
-
-def encode_frame(kind: str, meta: dict | None = None, arrays: dict | None = None) -> bytes:
-    """Serialize one frame to bytes.
-
-    ``meta`` must be JSON-serializable; ``arrays`` maps names to numpy
-    arrays (any dtype/shape; forced C-contiguous with explicit byte
-    order on the wire).  Each array's payload is copied exactly once,
-    into the joined output.
-    """
-    return encode_frame_parts(kind, meta, arrays).join()
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +521,16 @@ _REPLY_CODECS = {
 }
 
 
-def encode_request_parts(
+def encode_request(
     command: str, payload=None, *, trace=None, tick=None
 ) -> FrameSegments:
-    """:func:`encode_request` stopped pre-join: a zero-copy gather list.
+    """Encode one ``(command, payload)`` request into a frame gather list.
 
-    Channels with a vectored ``send_frame`` (or a :class:`BufferPool`)
-    consume this directly; ``.join()`` yields the exact
-    :func:`encode_request` bytes.
+    ``trace``, when given, rides in the reserved ``_trace`` meta key
+    alongside the command's own meta -- invisible to command decoders on
+    both ends, ignored by workers that predate it.  ``tick`` rides in
+    the reserved ``_tick`` key the same way; workers echo it on the
+    reply so a windowed parent can pair replies with requests.
     """
     try:
         encoder, _ = _REQUEST_CODECS[command]
@@ -556,22 +541,10 @@ def encode_request_parts(
         meta = {**meta, TRACE_META_KEY: trace}
     if tick is not None:
         meta = {**meta, TICK_META_KEY: int(tick)}
-    return encode_frame_parts(f"req:{command}", meta, arrays)
+    return encode_frame(f"req:{command}", meta, arrays)
 
 
-def encode_request(command: str, payload=None, *, trace=None, tick=None) -> bytes:
-    """Encode one ``(command, payload)`` request into a wire frame.
-
-    ``trace``, when given, rides in the reserved ``_trace`` meta key
-    alongside the command's own meta -- invisible to command decoders on
-    both ends, ignored by workers that predate it.  ``tick`` rides in
-    the reserved ``_tick`` key the same way; workers echo it on the
-    reply so a windowed parent can pair replies with requests.
-    """
-    return encode_request_parts(command, payload, trace=trace, tick=tick).join()
-
-
-def decode_request_full(data) -> tuple:
+def decode_request(data) -> tuple:
     """Decode a request frame into ``(command, payload, trace, tick)``.
 
     The reserved ``_trace`` and ``_tick`` meta keys are popped *before*
@@ -591,24 +564,22 @@ def decode_request_full(data) -> tuple:
     return command, decoder(frame.meta, frame.arrays), trace, tick
 
 
-def decode_request_traced(data) -> tuple:
-    """Decode a request frame into ``(command, payload, trace)``."""
-    command, payload, trace, _ = decode_request_full(data)
-    return command, payload, trace
-
-
-def decode_request(data) -> tuple:
-    """Decode a request frame back into ``(command, payload)``."""
-    command, payload, _, _ = decode_request_full(data)
-    return command, payload
-
-
-def encode_reply_parts(
+def encode_reply(
     command: str, reply: tuple, *, telemetry=None, tick=None
 ) -> FrameSegments:
-    """:func:`encode_reply` stopped pre-join: a zero-copy gather list."""
+    """Encode a worker's protocol reply tuple for ``command``.
+
+    ``reply`` is ``("ok", payload)`` or ``("error", name, message)``;
+    error frames encode identically for every command (and carry no
+    tick echo -- an error aborts the whole window, so pairing it with a
+    specific tick buys nothing).  ``telemetry``, when given on an ok
+    reply, rides in the reserved ``_telemetry`` meta key -- the worker's
+    piggybacked phase timings (or its clock reading on ``hello``),
+    stripped symmetrically by the decoder.  ``tick`` echoes the
+    request's ``_tick`` tag in the reserved ``_tick`` key.
+    """
     if reply[0] == "error":
-        return encode_frame_parts("err", {"name": reply[1], "message": reply[2]})
+        return encode_frame("err", {"name": reply[1], "message": reply[2]})
     try:
         encoder, _ = _REPLY_CODECS[command]
     except KeyError:
@@ -618,31 +589,19 @@ def encode_reply_parts(
         meta = {**meta, TELEMETRY_META_KEY: telemetry}
     if tick is not None:
         meta = {**meta, TICK_META_KEY: int(tick)}
-    return encode_frame_parts(f"ok:{command}", meta, arrays)
+    return encode_frame(f"ok:{command}", meta, arrays)
 
 
-def encode_reply(command: str, reply: tuple, *, telemetry=None, tick=None) -> bytes:
-    """Encode a worker's protocol reply tuple for ``command``.
+def decode_reply(data, command: str) -> tuple:
+    """Decode a reply frame for the in-flight ``command`` into
+    ``(reply, telemetry, tick)``.
 
-    ``reply`` is ``("ok", payload)`` or ``("error", name, message)``;
-    error frames encode identically for every command (and carry no
-    tick echo -- an error aborts the whole window, so pairing it with a
-    specific tick buys nothing).  ``telemetry``, when given on an ok
-    reply, rides in the reserved ``_telemetry`` meta key -- the worker's
-    piggybacked phase timings (or its clock reading on ``hello``),
-    stripped symmetrically by the decoders.  ``tick`` echoes the
-    request's ``_tick`` tag in the reserved ``_tick`` key.
-    """
-    return encode_reply_parts(command, reply, telemetry=telemetry, tick=tick).join()
-
-
-def decode_reply_full(data, command: str) -> tuple:
-    """Decode a reply frame into ``(reply_tuple, telemetry, tick)``.
-
-    The reserved ``_telemetry`` and ``_tick`` meta keys are popped
-    before the command decoder runs (``None`` when absent), so reply
-    payloads -- including the whole-meta ``hello`` shape -- never see
-    them.  Error frames carry neither.
+    ``reply`` is the protocol tuple the cluster front end consumes:
+    ``("ok", payload)`` or ``("error", name, message)``.  The reserved
+    ``_telemetry`` and ``_tick`` meta keys are popped before the command
+    decoder runs (``None`` when absent), so reply payloads -- including
+    the whole-meta ``hello`` shape -- never see them.  Error frames
+    carry neither.
     """
     frame = decode_frame(data)
     if frame.kind == "err":
@@ -657,19 +616,3 @@ def decode_reply_full(data, command: str) -> tuple:
     tick = frame.meta.pop(TICK_META_KEY, None)
     _, decoder = _REPLY_CODECS[command]
     return ("ok", decoder(frame.meta, frame.arrays)), telemetry, tick
-
-
-def decode_reply_telemetry(data, command: str) -> tuple:
-    """Decode a reply frame into ``(reply_tuple, telemetry)``."""
-    reply, telemetry, _ = decode_reply_full(data, command)
-    return reply, telemetry
-
-
-def decode_reply(data, command: str) -> tuple:
-    """Decode a reply frame for the in-flight ``command``.
-
-    Returns the protocol tuple the cluster front end consumes:
-    ``("ok", payload)`` or ``("error", name, message)``.
-    """
-    reply, _ = decode_reply_telemetry(data, command)
-    return reply

@@ -50,12 +50,10 @@ import repro.exceptions as _exceptions
 from repro.exceptions import ClusterError, ClusterWorkerError, ValidationError
 from repro.serving.protocol import (
     BufferPool,
-    decode_reply_full,
+    decode_reply,
     decode_request,
-    decode_request_full,
     encode_reply,
-    encode_reply_parts,
-    encode_request_parts,
+    encode_request,
 )
 from repro.serving.state import RegistrySnapshot
 
@@ -327,28 +325,25 @@ class WorkerServicer:
 # ---------------------------------------------------------------------------
 # Byte channels + the shared worker loop
 # ---------------------------------------------------------------------------
+#
+# A channel moves whole frames: ``send_frame`` takes the codec's
+# ``FrameSegments`` gather list, ``recv_bytes`` returns one received
+# frame as a bytes-like, plus ``set_timeout`` and ``close``.
 
 class PipeChannel:
     """Message framing over a multiprocessing ``Connection``.
 
-    With a :class:`~repro.serving.protocol.BufferPool` attached,
-    :meth:`send_frame` assembles gather lists into a reused pooled
-    buffer (one copy per segment, zero allocations in steady state)
-    instead of joining them into fresh bytes per frame.
+    :meth:`send_frame` assembles each gather list into a reused buffer
+    from ``pool`` (one copy per segment, zero allocations in steady
+    state) instead of joining it into fresh bytes per frame.
     """
 
-    def __init__(self, conn, pool=None) -> None:
+    def __init__(self, conn, pool: BufferPool) -> None:
         self._conn = conn
         self.pool = pool
 
-    def send_bytes(self, data: bytes) -> None:
-        self._conn.send_bytes(data)
-
     def send_frame(self, parts) -> None:
-        """Vectored send of a :class:`FrameSegments` gather list."""
-        if self.pool is None:
-            self._conn.send_bytes(parts.join())
-            return
+        """Send one :class:`~repro.serving.protocol.FrameSegments`."""
         frame = self.pool.encode_into(parts)
         try:
             # send_bytes blocks until the kernel owns the bytes, so the
@@ -393,30 +388,14 @@ class SocketChannel:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
         self._sock = sock
 
-    def send_bytes(self, data: bytes) -> None:
-        # The receive side refuses over-cap messages by dropping the
-        # connection; reject here first so an oversized (but legitimate)
-        # frame surfaces as a clear error instead of a phantom worker
-        # death on the peer.
-        if len(data) > MAX_MESSAGE_BYTES:
-            raise ValidationError(
-                f"refusing to send {len(data)}-byte message (cap "
-                f"{MAX_MESSAGE_BYTES}); snapshot/restore in smaller pieces"
-            )
-        # sendall retries partial sends (a signal mid-transfer must not
-        # truncate a frame).  Small frames ride in one syscall with the
-        # prefix; large ones skip the copy that joining would cost.
-        header = self._LEN.pack(len(data))
-        if len(data) <= 1 << 16:
-            self._sock.sendall(header + data)
-        else:
-            self._sock.sendall(header)
-            self._sock.sendall(data)
-
     def send_frame(self, parts) -> None:
         """Vectored send: length prefix + every segment via ``sendmsg``,
         so array payloads go kernel-ward straight from the numpy buffers
         without ever being joined into one Python-side copy."""
+        # The receive side refuses over-cap messages by dropping the
+        # connection; reject here first so an oversized (but legitimate)
+        # frame surfaces as a clear error instead of a phantom worker
+        # death on the peer.
         if parts.nbytes > MAX_MESSAGE_BYTES:
             raise ValidationError(
                 f"refusing to send {parts.nbytes}-byte message (cap "
@@ -485,7 +464,7 @@ def _handle_hello(engine_factory, payload, metrics=None, tracer=None):
     return WorkerServicer(engine, metrics=metrics, tracer=tracer)
 
 
-def _try_send(channel, data: bytes) -> bool:
+def _try_send_frame(channel, parts) -> bool:
     """Send a reply, tolerating a peer that already went away.
 
     A client may disconnect at any instant (SIGKILLed parent, dropped
@@ -493,27 +472,7 @@ def _try_send(channel, data: bytes) -> bool:
     loop.  Returns whether the send went through.
     """
     try:
-        channel.send_bytes(data)
-        return True
-    except _CHANNEL_ERRORS:
-        return False
-
-
-def send_channel_frame(channel, parts) -> None:
-    """Send a :class:`FrameSegments` the best way ``channel`` supports:
-    its vectored ``send_frame`` when present, else one joined
-    ``send_bytes`` (the compatibility path for plain byte channels)."""
-    send_frame = getattr(channel, "send_frame", None)
-    if send_frame is not None:
-        send_frame(parts)
-    else:
-        channel.send_bytes(parts.join())
-
-
-def _try_send_frame(channel, parts) -> bool:
-    """:func:`_try_send` for gather lists."""
-    try:
-        send_channel_frame(channel, parts)
+        channel.send_frame(parts)
         return True
     except _CHANNEL_ERRORS:
         return False
@@ -565,18 +524,18 @@ def serve_connection(
     """
     try:
         channel.set_timeout(handshake_timeout)
-        command, payload = decode_request(channel.recv_bytes())
+        command, payload, _, _ = decode_request(channel.recv_bytes())
         channel.set_timeout(None)
     except _CHANNEL_ERRORS:
         return "stray"  # peer went away (or stayed silent) pre-handshake
     except Exception as error:
-        _try_send(
+        _try_send_frame(
             channel,
             encode_reply("hello", ("error", type(error).__name__, str(error))),
         )
         return "stray"
     if command != "hello":
-        _try_send(
+        _try_send_frame(
             channel,
             encode_reply(
                 command,
@@ -593,7 +552,7 @@ def serve_connection(
             engine_factory, payload, metrics=metrics, tracer=tracer
         )
     except Exception as error:  # surfaced by the parent's hello reply
-        _try_send(
+        _try_send_frame(
             channel,
             encode_reply("hello", ("error", type(error).__name__, str(error))),
         )
@@ -601,7 +560,7 @@ def serve_connection(
     hello_telemetry = (
         {"clock": time.perf_counter()} if payload.get("_clock") else None
     )
-    if not _try_send(
+    if not _try_send_frame(
         channel,
         encode_reply(
             "hello", ("ok", servicer.engine_shape()), telemetry=hello_telemetry
@@ -620,9 +579,9 @@ def serve_connection(
             return "lost"
         t_recv1 = clock()
         try:
-            command, payload, trace, tick = decode_request_full(data)
+            command, payload, trace, tick = decode_request(data)
         except Exception as error:
-            if not _try_send(
+            if not _try_send_frame(
                 channel,
                 encode_reply(
                     "hello",
@@ -633,7 +592,7 @@ def serve_connection(
             continue
         t_decoded = clock()
         if command == "close":
-            _try_send(channel, encode_reply("close", ("ok", None)))
+            _try_send_frame(channel, encode_reply("close", ("ok", None)))
             return "served"
         try:
             reply = ("ok", servicer.handle(command, payload))
@@ -647,7 +606,7 @@ def serve_connection(
             )
         try:
             t_encode0 = clock()
-            encoded = encode_reply_parts(
+            encoded = encode_reply(
                 command, reply, telemetry=telemetry, tick=tick
             )
             t_encode1 = clock()
@@ -657,7 +616,7 @@ def serve_connection(
         except ValidationError as error:
             # The reply would not fit the wire (e.g. an over-cap
             # snapshot); report that instead of dropping the connection.
-            sent = _try_send(
+            sent = _try_send_frame(
                 channel,
                 encode_reply(command, ("error", "ClusterError", str(error))),
             )
@@ -835,7 +794,7 @@ class ChannelEndpoint(WorkerEndpoint):
     def prepare(self, command: str, payload=None):
         trace, self.trace_context = self.trace_context, None
         tick, self.tick_tag = self.tick_tag, None
-        parts = encode_request_parts(command, payload, trace=trace, tick=tick)
+        parts = encode_request(command, payload, trace=trace, tick=tick)
         limit = getattr(self._channel, "max_message_bytes", None)
         if limit is not None and parts.nbytes > limit:
             raise ValidationError(
@@ -847,7 +806,7 @@ class ChannelEndpoint(WorkerEndpoint):
     def send_prepared(self, token) -> None:
         command, tick, parts = token
         try:
-            send_channel_frame(self._channel, parts)
+            self._channel.send_frame(parts)
         except _CHANNEL_ERRORS as error:
             self.alive = False
             raise ClusterWorkerError(
@@ -867,7 +826,7 @@ class ChannelEndpoint(WorkerEndpoint):
             self.alive = False
             return ("error", "ClusterWorkerError", "worker died mid-request")
         try:
-            reply, self.last_telemetry, tick = decode_reply_full(
+            reply, self.last_telemetry, tick = decode_reply(
                 data, command or ""
             )
         except Exception as error:  # out-of-protocol peer: poisoned channel
@@ -1143,9 +1102,9 @@ def resolve_transport(transport=None, start_method: str | None = None) -> Transp
     """Normalize a transport argument into a :class:`Transport`.
 
     Accepts a :class:`Transport` instance, ``None``/``"pipe"`` (the
-    single-host default), ``"inproc"``, ``"shm"`` (shared-memory rings),
-    or ``"tcp:HOST:PORT[,HOST:PORT...]"``.  ``start_method`` applies to
-    the process-spawning transports (pipe, shm) only.
+    single-host default), ``"inproc"``, or
+    ``"tcp:HOST:PORT[,HOST:PORT...]"``.  ``start_method`` applies to the
+    pipe transport only.
     """
     if isinstance(transport, Transport):
         return transport
@@ -1153,15 +1112,11 @@ def resolve_transport(transport=None, start_method: str | None = None) -> Transp
         return PipeTransport(start_method=start_method)
     if transport == "inproc":
         return InprocTransport()
-    if transport == "shm":
-        from repro.serving.shm import ShmTransport
-
-        return ShmTransport(start_method=start_method)
     if isinstance(transport, str) and transport.startswith("tcp:"):
         return TcpTransport(transport[len("tcp:"):].split(","))
     raise ValidationError(
         f"unknown transport {transport!r}; expected 'inproc', 'pipe', "
-        "'shm', 'tcp:HOST:PORT,...', or a Transport instance"
+        "'tcp:HOST:PORT,...', or a Transport instance"
     )
 
 

@@ -58,9 +58,7 @@ from repro.serving.protocol import (
     TELEMETRY_META_KEY,
     TRACE_META_KEY,
     decode_reply,
-    decode_reply_telemetry,
     decode_request,
-    decode_request_traced,
     encode_reply,
     encode_request,
 )
@@ -292,33 +290,30 @@ class TestTraceProtocol:
         trace = {
             "tick": 3, "shard": 1, "parent": "await_window", "sampled": True
         }
-        data = encode_request("ids", None, trace=trace)
-        command, payload, decoded = decode_request_traced(data)
-        assert (command, payload) == ("ids", None)
+        data = encode_request("ids", None, trace=trace).join()
+        command, payload, decoded, tick = decode_request(data)
+        # The side channel is stripped before the command decoder runs.
+        assert (command, payload, tick) == ("ids", None, None)
         assert decoded == trace
-        # The plain decoder hides the side channel entirely.
-        assert decode_request(data) == ("ids", None)
 
     def test_untraced_frames_are_byte_identical(self):
-        assert encode_request("ids", None) == encode_request(
+        assert encode_request("ids", None).join() == encode_request(
             "ids", None, trace=None
-        )
-        command, payload, trace = decode_request_traced(
-            encode_request("ids", None)
-        )
+        ).join()
+        _, _, trace, _ = decode_request(encode_request("ids", None).join())
         assert trace is None
 
     def test_telemetry_meta_round_trips_and_is_stripped(self):
         telemetry = {"tick": 3, "recv": [1.0, 2.0]}
-        data = encode_reply("ids", ("ok", ["a"]), telemetry=telemetry)
-        reply, decoded = decode_reply_telemetry(data, "ids")
+        data = encode_reply("ids", ("ok", ["a"]), telemetry=telemetry).join()
+        reply, decoded, tick = decode_reply(data, "ids")
         assert reply == ("ok", ["a"])
         assert decoded == telemetry
-        assert decode_reply(data, "ids") == ("ok", ["a"])
+        assert tick is None
 
     def test_error_replies_never_carry_telemetry(self):
-        data = encode_reply("ids", ("error", "ClusterError", "boom"))
-        reply, telemetry = decode_reply_telemetry(data, "ids")
+        data = encode_reply("ids", ("error", "ClusterError", "boom")).join()
+        reply, telemetry, _ = decode_reply(data, "ids")
         assert reply == ("error", "ClusterError", "boom")
         assert telemetry is None
 

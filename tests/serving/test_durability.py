@@ -652,7 +652,7 @@ class TestControllerDurability:
 # O(dead-shard) recovery
 # ----------------------------------------------------------------------
 class _ChaosCluster:
-    """A ShardedEngine on a chaos-wrapped transport (pipe/shm/tcp)."""
+    """A ShardedEngine on a chaos-wrapped transport (pipe/tcp)."""
 
     def __init__(self, transport_name, factory, n_shards, faults, **kwargs):
         self.processes = []
@@ -693,7 +693,7 @@ class TestShardLocalRecovery:
             )
         return ticks
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm", TCP])
+    @pytest.mark.parametrize("transport", ["pipe", TCP])
     def test_step_kill_touches_only_the_dead_shard(
         self, synthetic_stack, series_maker, transport
     ):

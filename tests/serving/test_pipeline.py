@@ -11,7 +11,7 @@ before the next is submitted, tick tags on the wire included.
 
 Proven here:
 
-* windowed == lockstep across inproc / pipe / shm / TCP at 1, 2, and 4
+* windowed == lockstep across inproc / pipe / TCP at 1, 2, and 4
   shards, results and lifecycle statistics alike;
 * the wire-level tick tag (reserved ``_tick`` meta key) round-trips,
   error replies never echo it, and untagged frames encode byte-identically
@@ -53,8 +53,8 @@ from repro.serving import (
 from repro.serving.observability import parse_prometheus
 from repro.serving.observability.tracing import PHASES
 from repro.serving.protocol import (
-    decode_reply_full,
-    decode_request_full,
+    decode_reply,
+    decode_request,
     encode_reply,
     encode_request,
 )
@@ -110,7 +110,7 @@ def _series_ticks(series_maker, seed, n_streams, length, new_series_at=None):
 class TestWindowedEquivalence:
     """Windowed == lockstep, bitwise, across transports and shard counts."""
 
-    @pytest.mark.parametrize("transport", ["inproc", "pipe", "shm", TCP])
+    @pytest.mark.parametrize("transport", ["inproc", "pipe", TCP])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_windowed_run_is_bitwise_lockstep(
         self, synthetic_stack, series_maker, transport, n_shards
@@ -280,37 +280,37 @@ class TestTickTag:
     """The reserved ``_tick`` wire meta: pairing without payload cost."""
 
     def test_request_tag_roundtrips_and_strips(self):
-        data = encode_request("ids", None, tick=5)
-        command, payload, trace, tick = decode_request_full(data)
+        data = encode_request("ids", None, tick=5).join()
+        command, payload, trace, tick = decode_request(data)
         assert (command, payload, trace, tick) == ("ids", None, None, 5)
         assert b'"_tick":5' in data
 
     def test_reply_echo_roundtrips(self):
-        data = encode_reply("ids", ("ok", ["a", "b"]), tick=5)
-        reply, telemetry, tick = decode_reply_full(data, "ids")
+        data = encode_reply("ids", ("ok", ["a", "b"]), tick=5).join()
+        reply, telemetry, tick = decode_reply(data, "ids")
         assert reply == ("ok", ["a", "b"])
         assert telemetry is None
         assert tick == 5
 
     def test_error_replies_never_echo_the_tick(self):
-        tagged = encode_reply("step", ("error", "Boom", "msg"), tick=9)
-        reply, _, tick = decode_reply_full(tagged, "step")
+        tagged = encode_reply("step", ("error", "Boom", "msg"), tick=9).join()
+        reply, _, tick = decode_reply(tagged, "step")
         assert reply == ("error", "Boom", "msg")
         assert tick is None
         # Byte-for-byte the untagged error frame: an error aborts the
         # window, so pairing it with a tick buys nothing.
-        assert tagged == encode_reply("step", ("error", "Boom", "msg"))
+        assert tagged == encode_reply("step", ("error", "Boom", "msg")).join()
 
     def test_untagged_frames_are_byte_identical_to_pre_windowing(self):
-        assert encode_request("ids", None) == encode_request(
+        assert encode_request("ids", None).join() == encode_request(
             "ids", None, tick=None
-        )
-        assert b"_tick" not in encode_request("step", None)
-        assert b"_tick" not in encode_reply("ids", ("ok", ["a"]))
+        ).join()
+        assert b"_tick" not in encode_request("step", None).join()
+        assert b"_tick" not in encode_reply("ids", ("ok", ["a"])).join()
 
     def test_empty_step_request_carries_the_tag(self):
-        command, payload, _, tick = decode_request_full(
-            encode_request("step", None, tick=2)
+        command, payload, _, tick = decode_request(
+            encode_request("step", None, tick=2).join()
         )
         assert (command, payload, tick) == ("step", None, 2)
 

@@ -7,6 +7,10 @@ command's payload must survive encode/decode unchanged -- including whole
 registry snapshots, whose wire framing backs cross-transport restore.
 """
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,13 +23,33 @@ from repro.serving.protocol import (
     decode_reply,
     decode_request,
     encode_frame,
-    encode_frame_parts,
     encode_reply,
-    encode_reply_parts,
     encode_request,
-    encode_request_parts,
     require_wire_id,
 )
+
+
+def _reference_frame(kind, meta, arrays):
+    """The documented frame layout, built independently of the codec:
+    prefix, compact JSON header, then each array's C-order bytes."""
+    contiguous = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
+    header = json.dumps(
+        {
+            "kind": kind,
+            "meta": meta,
+            "arrays": [
+                {"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
+                for name, a in contiguous.items()
+            ],
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return (
+        b"RPWC"
+        + struct.pack(">HI", PROTOCOL_VERSION, len(header))
+        + header
+        + b"".join(a.tobytes() for a in contiguous.values())
+    )
 
 
 class TestFrameLayer:
@@ -37,7 +61,7 @@ class TestFrameLayer:
             "empty": np.empty(0, dtype=float),
         }
         meta = {"ids": ["a", 1, 2.5, None, True], "nested": {"k": [1, 2]}}
-        frame = decode_frame(encode_frame("req:step", meta, arrays))
+        frame = decode_frame(encode_frame("req:step", meta, arrays).join())
         assert frame.kind == "req:step"
         assert frame.meta == meta
         assert set(frame.arrays) == set(arrays)
@@ -49,7 +73,7 @@ class TestFrameLayer:
             assert decoded.tobytes() == np.ascontiguousarray(array).tobytes()
 
     def test_decoded_arrays_own_their_memory(self):
-        data = bytearray(encode_frame("k", {}, {"a": np.array([1.0, 2.0])}))
+        data = bytearray(encode_frame("k", {}, {"a": np.array([1.0, 2.0])}).join())
         frame = decode_frame(data)
         copy = frame.arrays["a"].copy()
         data[-16:] = b"\x00" * 16  # scribble over the receive buffer
@@ -58,11 +82,11 @@ class TestFrameLayer:
 
     def test_noncontiguous_input_is_encoded_correctly(self):
         base = np.arange(24, dtype=np.int64).reshape(4, 6)
-        frame = decode_frame(encode_frame("k", {}, {"a": base[:, ::2]}))
+        frame = decode_frame(encode_frame("k", {}, {"a": base[:, ::2]}).join())
         assert np.array_equal(frame.arrays["a"], base[:, ::2])
 
     def test_bad_magic_and_truncation(self):
-        good = encode_frame("k", {"x": 1}, {"a": np.ones(3)})
+        good = encode_frame("k", {"x": 1}, {"a": np.ones(3)}).join()
         with pytest.raises(ProtocolError, match="magic"):
             decode_frame(b"NOPE" + good[4:])
         with pytest.raises(ProtocolError, match="truncated"):
@@ -73,16 +97,12 @@ class TestFrameLayer:
             decode_frame(good + b"junk")
 
     def test_version_mismatch_fails_loudly(self):
-        import struct
-
-        good = bytearray(encode_frame("k", {}))
+        good = bytearray(encode_frame("k", {}).join())
         struct.pack_into(">H", good, 4, PROTOCOL_VERSION + 1)
         with pytest.raises(ProtocolError, match="protocol version"):
             decode_frame(bytes(good))
 
     def test_undecodable_header(self):
-        import struct
-
         header = b"not json"
         raw = b"RPWC" + struct.pack(">HI", PROTOCOL_VERSION, len(header)) + header
         with pytest.raises(ProtocolError, match="header"):
@@ -91,11 +111,8 @@ class TestFrameLayer:
     def test_malformed_manifest_shapes_rejected(self):
         # A hostile peer must not be able to rewind the read offset with
         # negative dims or smuggle non-int shapes past the decoder.
-        import json as json_module
-        import struct
-
         def frame_with_shape(shape):
-            header = json_module.dumps(
+            header = json.dumps(
                 {
                     "kind": "k",
                     "meta": {},
@@ -116,6 +133,20 @@ class TestFrameLayer:
         for shape in ([2**32, 2**32], [2**63, 2]):
             with pytest.raises(ProtocolError, match="cut short"):
                 decode_frame(frame_with_shape(shape))
+
+    def test_one_encoder_and_one_decoder_per_layer(self):
+        from repro.serving import protocol
+
+        codec = {
+            name
+            for name in protocol.__all__
+            if name.startswith(("encode_", "decode_"))
+        }
+        assert codec == {
+            f"{direction}_{layer}"
+            for direction in ("encode", "decode")
+            for layer in ("frame", "request", "reply")
+        }
 
     def test_non_json_meta_rejected_at_encode(self):
         with pytest.raises(ValidationError, match="wire-serializable"):
@@ -151,8 +182,8 @@ class TestPooledCodec:
         for _ in range(50):
             arrays = _random_arrays(rng)
             meta = {"ids": list(range(int(rng.integers(0, 4))))}
-            legacy = encode_frame("req:step", meta, arrays)
-            parts = encode_frame_parts("req:step", meta, arrays)
+            legacy = _reference_frame("req:step", meta, arrays)
+            parts = encode_frame("req:step", meta, arrays)
             assert parts.join() == legacy
             assert parts.nbytes == len(legacy)
 
@@ -161,8 +192,8 @@ class TestPooledCodec:
         pool = BufferPool()
         for _ in range(50):
             arrays = _random_arrays(rng)
-            legacy = encode_frame("k", {"n": 1}, arrays)
-            frame = pool.encode_into(encode_frame_parts("k", {"n": 1}, arrays))
+            legacy = _reference_frame("k", {"n": 1}, arrays)
+            frame = pool.encode_into(encode_frame("k", {"n": 1}, arrays))
             assert bytes(frame.view) == legacy
             frame.release()
         # Steady state recycles: far more hits than allocations.
@@ -177,20 +208,81 @@ class TestPooledCodec:
             "new_series": np.array([True, False]),
             "scope": None,
         }
-        assert (
-            encode_request_parts("step", payload, trace={"tick": 3}).join()
-            == encode_request("step", payload, trace={"tick": 3})
+        # Command meta first, then the reserved keys, then the arrays.
+        arrays = {k: payload[k] for k in ("X", "Q", "new_series")}
+        assert encode_request(
+            "step", payload, trace={"tick": 3}, tick=3
+        ).join() == _reference_frame(
+            "req:step",
+            {"ids": ["a", "b"], "scope": None, "_trace": {"tick": 3}, "_tick": 3},
+            arrays,
         )
         reply = ("ok", {"fused": np.arange(4.0)})
-        assert (
-            encode_reply_parts("step", reply, telemetry={"t": 1}).join()
-            == encode_reply("step", reply, telemetry={"t": 1})
+        assert encode_reply(
+            "step", reply, telemetry={"t": 1}
+        ).join() == _reference_frame(
+            "ok:step", {"empty": False, "_telemetry": {"t": 1}}, reply[1]
         )
         error = ("error", "ValueError", "boom")
-        assert (
-            encode_reply_parts("step", error).join()
-            == encode_reply("step", error)
+        assert encode_reply("step", error, tick=3).join() == _reference_frame(
+            "err", {"name": "ValueError", "message": "boom"}, {}
         )
+
+    def test_wire_bytes_match_pinned_digests(self):
+        # One encoder per layer, but the bytes on the wire never change:
+        # these digests pin request and reply frames across refactors
+        # (a change here needs a PROTOCOL_VERSION bump).
+        payload = {
+            "ids": ["a", 7, 2.5],
+            "X": np.arange(12, dtype=float).reshape(3, 4) / 7,
+            "Q": np.arange(6, dtype=np.float32).reshape(3, 2)[:, ::-1],
+            "new_series": np.array([True, False, True]),
+            "scope": [None, {"lat": 1.5}, {"fog": True}],
+        }
+        results = {
+            "fused": np.linspace(0, 1, 3),
+            "outcome": np.array([1, 0, 2], dtype=np.int64),
+            "empty": np.empty((0, 2)),
+        }
+        frames = {
+            "req_step": encode_request(
+                "step", payload, trace={"tick": 3, "sampled": True}, tick=3
+            ),
+            "req_step_empty": encode_request("step", None, tick=4),
+            "req_hello": encode_request(
+                "hello", {"initial_tick": 5, "shard": 1, "_clock": True}
+            ),
+            "req_delta": encode_request("delta", 9),
+            "req_discard": encode_request("discard", ["a", 7]),
+            "req_snapshot": encode_request("snapshot", None),
+            "rep_step": encode_reply(
+                "step",
+                ("ok", results),
+                telemetry={"tick": 3, "recv": [1.0, 2.0]},
+                tick=3,
+            ),
+            "rep_stats": encode_reply("stats", ("ok", {"created": 3, "tick": 4})),
+            "rep_ids": encode_reply("ids", ("ok", ["a", 7])),
+            "rep_error": encode_reply(
+                "step", ("error", "ValidationError", "boom"), tick=3
+            ),
+        }
+        digests = {
+            name: hashlib.sha256(parts.join()).hexdigest()
+            for name, parts in frames.items()
+        }
+        assert digests == {
+        "req_step": "59e3e040960045eb71f88721a65ef5097861c022de42022064db7f098f4cce30",
+        "req_step_empty": "369921a533b82c6c5e23f5fe8170dc266d77452d27b5df7c424dc924cc6277e2",
+        "req_hello": "85dcdce968617056768cba875d1d1d74f437f411fbd28b73f83de3dbe3b49bad",
+        "req_delta": "e703a2a5df8da4b43eb571c4c564fb1feaf235fe5fe0cc3e53a75e51e67f8168",
+        "req_discard": "a60a4fb143f0eeb7ff49a5681a4f95cc3d4331a7a52a9d568b61d3d10ff71cc0",
+        "req_snapshot": "f2d3fd3719246f9a05a0e5a1e86b8d8a4ee0ec098f8183c144c6a8a9d50deb63",
+        "rep_step": "b52b4b4a9b2e21460a5344ec28e5f26795ff8359f66ebb4b07a0d9644662a683",
+        "rep_stats": "b84f80f13f0b61c66a464442cc12c8807176459568903de0e7351cd96c0ccc85",
+        "rep_ids": "0e01c026ce6cd819bf3febdd1ab9e1396469c462f90105ab590d37d2a73dde7e",
+        "rep_error": "9f7a3fa06fc310b8fa488640e7656eb017196c7121dc484e48434d5a455caf85",
+        }
 
     def test_pooled_roundtrip_mixed_dtypes_and_empties(self):
         pool = BufferPool()
@@ -202,7 +294,7 @@ class TestPooledCodec:
             "strided": np.arange(24, dtype=np.int64).reshape(4, 6)[:, ::2],
             "bools": np.array([[True], [False]]),
         }
-        frame = pool.encode_into(encode_frame_parts("k", {"m": 1}, arrays))
+        frame = pool.encode_into(encode_frame("k", {"m": 1}, arrays))
         decoded = decode_frame(frame.view)
         frame.release()
         for name, array in arrays.items():
@@ -213,7 +305,7 @@ class TestPooledCodec:
 
     def test_truncated_and_tampered_pooled_frames_fail_loudly(self):
         pool = BufferPool()
-        parts = encode_frame_parts("k", {"x": 1}, {"a": np.ones(5)})
+        parts = encode_frame("k", {"x": 1}, {"a": np.ones(5)})
         frame = pool.encode_into(parts)
         good = bytes(frame.view)
         frame.release()
@@ -235,7 +327,7 @@ class TestPooledCodec:
     def test_pool_reuse_never_aliases_live_decoded_arrays(self):
         pool = BufferPool()
         first = pool.encode_into(
-            encode_frame_parts("k", {}, {"a": np.full(64, 7.0)})
+            encode_frame("k", {}, {"a": np.full(64, 7.0)})
         )
         decoded = decode_frame(first.view)
         kept = decoded.arrays["a"]
@@ -243,7 +335,7 @@ class TestPooledCodec:
         # The released buffer is recycled and overwritten by the next
         # frame of the same size class...
         second = pool.encode_into(
-            encode_frame_parts("k", {}, {"a": np.zeros(64)})
+            encode_frame("k", {}, {"a": np.zeros(64)})
         )
         assert pool.hits == 1
         # ...but decoded arrays own their memory, so the live view of
@@ -253,7 +345,7 @@ class TestPooledCodec:
 
     def test_released_frame_is_inert(self):
         pool = BufferPool()
-        frame = pool.encode_into(encode_frame_parts("k", {"x": 1}, {}))
+        frame = pool.encode_into(encode_frame("k", {"x": 1}, {}))
         frame.release()
         frame.release()  # idempotent
         assert pool.stats()["hits"] == 0
@@ -271,10 +363,12 @@ class TestPooledCodec:
     def test_segments_pin_backing_arrays(self):
         # The gather list borrows array memory; _keepalive must hold the
         # contiguous copies alive even when the caller drops its refs.
-        parts = encode_frame_parts(
+        parts = encode_frame(
             "k", {}, {"a": np.arange(6.0).reshape(2, 3)[:, ::2]}
         )
-        legacy = encode_frame("k", {}, {"a": np.arange(6.0).reshape(2, 3)[:, ::2]})
+        legacy = _reference_frame(
+            "k", {}, {"a": np.arange(6.0).reshape(2, 3)[:, ::2]}
+        )
         import gc
 
         gc.collect()
@@ -309,7 +403,9 @@ class TestRequestReplyVocabulary:
             "new_series": np.array([True, False, True]),
             "scope": [{"lat": 1.25}, None, {"lat": -3.5}],
         }
-        command, decoded = decode_request(encode_request("step", payload))
+        command, decoded, _, _ = decode_request(
+            encode_request("step", payload).join()
+        )
         assert command == "step"
         assert decoded["ids"] == payload["ids"]
         assert decoded["scope"] == payload["scope"]
@@ -318,10 +414,13 @@ class TestRequestReplyVocabulary:
         assert decoded["new_series"].tolist() == [True, False, True]
 
     def test_frameless_step_roundtrip(self):
-        command, decoded = decode_request(encode_request("step", None))
+        command, decoded, _, _ = decode_request(
+            encode_request("step", None).join()
+        )
         assert command == "step"
         assert decoded is None
-        assert decode_reply(encode_reply("step", ("ok", None)), "step") == ("ok", None)
+        reply, _, _ = decode_reply(encode_reply("step", ("ok", None)).join(), "step")
+        assert reply == ("ok", None)
 
     def test_step_reply_roundtrip_bitwise(self):
         encoded = {
@@ -337,7 +436,9 @@ class TestRequestReplyVocabulary:
             "v_threshold": np.array([0.35, 0.0]),
             "v_hysteresis": np.array([False, False]),
         }
-        status, decoded = decode_reply(encode_reply("step", ("ok", encoded)), "step")
+        (status, decoded), _, _ = decode_reply(
+            encode_reply("step", ("ok", encoded)).join(), "step"
+        )
         assert status == "ok"
         assert set(decoded) == set(encoded)
         for key in encoded:
@@ -353,32 +454,36 @@ class TestRequestReplyVocabulary:
             ("stats", None),
             ("close", None),
         ]:
-            assert decode_request(encode_request(command, payload)) == (
+            assert decode_request(encode_request(command, payload).join()) == (
                 command,
                 payload,
+                None,
+                None,
             )
         stats = {"created": 3, "evicted": 1, "series_started": 2,
                  "n_streams": 2, "tick": 9}
-        assert decode_reply(encode_reply("stats", ("ok", stats)), "stats") == (
-            "ok",
-            stats,
+        assert decode_reply(encode_reply("stats", ("ok", stats)).join(), "stats") == (
+            ("ok", stats),
+            None,
+            None,
         )
-        assert decode_reply(encode_reply("ids", ("ok", ["x", 1])), "ids") == (
-            "ok",
-            ["x", 1],
+        assert decode_reply(encode_reply("ids", ("ok", ["x", 1])).join(), "ids") == (
+            ("ok", ["x", 1]),
+            None,
+            None,
         )
 
     def test_error_reply_is_command_independent(self):
-        data = encode_reply("step", ("error", "ValidationError", "boom"))
+        data = encode_reply("step", ("error", "ValidationError", "boom")).join()
         for command in ("step", "snapshot", "stats"):
             assert decode_reply(data, command) == (
-                "error",
-                "ValidationError",
-                "boom",
+                ("error", "ValidationError", "boom"),
+                None,
+                None,
             )
 
     def test_mismatched_reply_kind_rejected(self):
-        data = encode_reply("stats", ("ok", {"tick": 1}))
+        data = encode_reply("stats", ("ok", {"tick": 1})).join()
         with pytest.raises(ProtocolError, match="does not match"):
             decode_reply(data, "step")
 
@@ -432,8 +537,8 @@ class TestSnapshotWireFraming:
         self, synthetic_stack, series_maker
     ):
         snapshot = self.make_snapshot(synthetic_stack, series_maker)
-        status, rebuilt = decode_reply(
-            encode_reply("snapshot", ("ok", snapshot)), "snapshot"
+        (status, rebuilt), _, _ = decode_reply(
+            encode_reply("snapshot", ("ok", snapshot)).join(), "snapshot"
         )
         assert status == "ok"
         assert rebuilt.n_streams == snapshot.n_streams

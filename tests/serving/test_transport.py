@@ -1,8 +1,7 @@
 """Tests for the pluggable cluster transports.
 
-The tentpole property: the four transports (in-proc loopback, forked
-pipe workers, shared-memory rings, TCP to remote workers) are
-behaviorally interchangeable --
+The tentpole property: the three transports (in-proc loopback, forked
+pipe workers, TCP to remote workers) are behaviorally interchangeable --
 bitwise-identical step results, monitor verdicts, TTL evictions, and
 statistics versus the single-process engine at every shard count, and a
 snapshot taken under one transport restores under any other and continues
@@ -13,6 +12,10 @@ transport-specific spawn/validation edges.
 """
 
 import contextlib
+import queue
+import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,17 +24,28 @@ from repro.core.monitor import UncertaintyMonitor
 from repro.exceptions import ClusterError, ClusterWorkerError, ValidationError
 from repro.serving import (
     InprocTransport,
+    MetricsRegistry,
     PipeTransport,
+    ServingController,
     ShardedEngine,
     StreamFrame,
     StreamingEngine,
     TcpTransport,
     launch_local_workers,
+    serve_worker,
     stop_local_workers,
 )
-from repro.serving.transport import parse_address, resolve_transport
+from repro.serving import transport as transport_module
+from repro.serving.observability import parse_prometheus
+from repro.serving.protocol import decode_request, encode_request
+from repro.serving.transport import (
+    ChannelEndpoint,
+    SocketChannel,
+    parse_address,
+    resolve_transport,
+)
 
-TRANSPORTS = ("inproc", "pipe", "shm", "tcp")
+TRANSPORTS = ("inproc", "pipe", "tcp")
 
 
 def make_factory(synthetic_stack, **kwargs):
@@ -496,8 +510,9 @@ class TestTransportEdges:
         tcp = resolve_transport("tcp:10.0.0.1:7000,10.0.0.2:7000")
         assert isinstance(tcp, TcpTransport)
         assert tcp.addresses == [("10.0.0.1", 7000), ("10.0.0.2", 7000)]
-        with pytest.raises(ValidationError, match="unknown transport"):
-            resolve_transport("carrier-pigeon")
+        for retired in ("carrier-pigeon", "shm"):
+            with pytest.raises(ValidationError, match="unknown transport"):
+                resolve_transport(retired)
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:7000") == ("127.0.0.1", 7000)
@@ -577,8 +592,8 @@ class TestTransportEdges:
                 self._frames = list(frames)
                 self.sent = []
 
-            def send_bytes(self, data):
-                self.sent.append(data)
+            def send_frame(self, parts):
+                self.sent.append(parts.join())
 
             def recv_bytes(self):
                 if not self._frames:
@@ -589,11 +604,10 @@ class TestTransportEdges:
                 pass
 
         factory = make_factory(synthetic_stack)
-        hello = encode_request("hello", {"initial_tick": 0, "shard": 0})
+        hello = encode_request("hello", {"initial_tick": 0, "shard": 0}).join()
+        close = encode_request("close").join()
         assert (
-            serve_connection(
-                ScriptedChannel([hello, encode_request("close")]), factory
-            )
+            serve_connection(ScriptedChannel([hello, close]), factory)
             == "served"
         )
         assert serve_connection(ScriptedChannel([hello]), factory) == "lost"
@@ -655,3 +669,155 @@ class TestTransportEdges:
         with ShardedEngine(factory, 2, transport="pipe") as cluster:
             with pytest.raises(ValidationError, match="wire-serializable"):
                 cluster.step_batch([StreamFrame(("car", 1), X[0], q[0])])
+
+
+@contextlib.contextmanager
+def loopback_pair():
+    """A connected ``(client, server)`` pair of loopback TCP sockets."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    client = socket.create_connection(listener.getsockname(), timeout=5.0)
+    server, _ = listener.accept()
+    listener.close()
+    server.settimeout(5.0)
+    try:
+        yield client, server
+    finally:
+        client.close()
+        server.close()
+
+
+def cap_messages(monkeypatch, cap):
+    """Shrink the TCP message cap: the module constant the channel
+    checks on send and recv, and the cap endpoints read at prepare."""
+    monkeypatch.setattr(transport_module, "MAX_MESSAGE_BYTES", cap)
+    monkeypatch.setattr(SocketChannel, "max_message_bytes", cap)
+
+
+class TestMessageCap:
+    """``MAX_MESSAGE_BYTES`` guards a listener that reads length prefixes
+    from unauthenticated peers; every frame, request or reply, goes
+    through the same cap."""
+
+    CAP = 1024
+
+    def step_payload(self, n_features):
+        return {
+            "ids": ["a"],
+            "X": np.zeros((1, n_features)),
+            "Q": np.zeros((1, 1)),
+            "new_series": np.zeros(1, dtype=bool),
+            "scope": None,
+        }
+
+    def test_over_cap_request_fails_before_any_byte_is_sent(self, monkeypatch):
+        cap_messages(monkeypatch, self.CAP)
+        big = self.step_payload(n_features=self.CAP // 8)
+        assert encode_request("step", big).nbytes > self.CAP
+        with loopback_pair() as (client, server):
+            channel = SocketChannel(client)
+            endpoint = ChannelEndpoint(0, channel)
+            with pytest.raises(ValidationError, match="exceeds the transport cap"):
+                endpoint.send("step", big)
+            with pytest.raises(ValidationError, match="refusing to send"):
+                channel.send_frame(encode_request("step", big))
+            assert endpoint.alive
+            server.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                server.recv(1)  # nothing of either refused frame left
+            server.settimeout(5.0)
+            # The first frame the peer sees is the next one that fits.
+            endpoint.send("ids")
+            received = SocketChannel(server).recv_bytes()
+            assert decode_request(received) == ("ids", None, None, None)
+
+    def test_over_cap_length_prefix_is_refused_unallocated(self, monkeypatch):
+        cap_messages(monkeypatch, self.CAP)
+        reads = []
+        recv_exact = SocketChannel._recv_exact
+
+        def recording(self, n):
+            reads.append(n)
+            return recv_exact(self, n)
+
+        monkeypatch.setattr(SocketChannel, "_recv_exact", recording)
+        with loopback_pair() as (client, server):
+            client.sendall(struct.pack(">I", self.CAP + 1))
+            with pytest.raises(EOFError, match=f"refusing {self.CAP + 1}-byte"):
+                SocketChannel(server).recv_bytes()
+        # Only the 4-byte prefix was read; no buffer of the announced
+        # length was ever allocated.
+        assert reads == [4]
+
+    def test_over_cap_reply_is_answered_with_an_error_reply(
+        self, synthetic_stack, series_maker, monkeypatch
+    ):
+        rng = np.random.default_rng(379)
+        n_streams, length = 16, 4
+        series = series_maker(rng, n_series=n_streams, length=length)
+        ids = [f"s{sid}" for sid in range(n_streams)]
+        factory = make_factory(synthetic_stack)
+        single = factory()
+        expected = [
+            single.step_batch(tick_frames(series, ids, t)) for t in range(length)
+        ]
+
+        # The worker serves in a thread of this process, so the patched
+        # cap applies to its replies as well as to the parent's requests.
+        ports: queue.Queue = queue.Queue()
+        worker = threading.Thread(
+            target=serve_worker,
+            args=(factory,),
+            kwargs={"max_connections": 1, "ready_callback": ports.put},
+            daemon=True,
+        )
+        worker.start()
+        address = ("127.0.0.1", ports.get(timeout=10.0))
+        with ShardedEngine(factory, 1, transport=TcpTransport([address])) as cluster:
+            got = [cluster.step_batch(tick_frames(series, ids, t)) for t in range(2)]
+            with monkeypatch.context() as patch:
+                # Small requests and the stats reply fit; the snapshot
+                # reply (16 streams' buffers) does not.
+                cap_messages(patch, self.CAP)
+                with pytest.raises(ClusterError, match="refusing to send"):
+                    cluster.snapshot()
+                # Same connection, next request: served normally.
+                assert cluster.statistics().created == n_streams
+            got += [
+                cluster.step_batch(tick_frames(series, ids, t))
+                for t in range(2, length)
+            ]
+            assert cluster.snapshot().n_streams == n_streams
+        worker.join(10.0)
+        assert not worker.is_alive()  # one orderly close: the session counted
+        assert got == expected
+
+
+class TestCodecPool:
+    def test_pool_stats_surface_in_fanout_stats(
+        self, synthetic_stack, series_maker
+    ):
+        # fanout_stats()["pool"] feeds the repro_codec_pool_* families:
+        # after warm-up every send reuses a pooled buffer, and a scrape
+        # reports the same totals the cluster does.
+        rng = np.random.default_rng(803)
+        series = series_maker(rng, n_series=6, length=6)
+        ids = [f"s{sid}" for sid in range(6)]
+        factory = make_factory(synthetic_stack)
+        ticks = [tick_frames(series, ids, t) for t in range(6)]
+        registry = MetricsRegistry()
+        with ShardedEngine(factory, 2, transport="pipe") as cluster:
+            controller = ServingController(cluster, metrics=registry)
+            controller.run(ticks[:2])
+            warm = cluster.fanout_stats()["pool"]
+            controller.run(ticks[2:])
+            pool = cluster.fanout_stats()["pool"]
+        assert pool["misses"] == warm["misses"]  # no allocation once warm
+        assert pool["hits"] > warm["hits"] > 0
+        assert pool["bytes_copied"] > warm["bytes_copied"] > 0
+        families = parse_prometheus(registry.render_prometheus())
+        for key, family in (
+            ("hits", "repro_codec_pool_hits_total"),
+            ("misses", "repro_codec_pool_misses_total"),
+            ("bytes_copied", "repro_codec_pool_bytes_copied_total"),
+        ):
+            assert families[family]["samples"][(family, ())] == pool[key]
