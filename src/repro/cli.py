@@ -126,22 +126,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cluster transport when --shards > 1 "
                             "(forked pipe workers or in-process loopback)")
     serve.add_argument("--snapshot-every", type=int, default=0, metavar="K",
-                       help="write a registry snapshot every K ticks")
+                       help="commit a registry snapshot every K ticks")
     serve.add_argument("--snapshot-dir", default="snapshots", metavar="DIR",
-                       help="directory for --snapshot-every artifacts")
+                       help="snapshot store directory (base/delta files "
+                            "behind an atomic manifest.json)")
     serve.add_argument("--snapshot-mode", choices=["sync", "bg"],
                        default="sync",
-                       help="write snapshots on the tick thread (sync) or "
-                            "hand serialization + disk I/O to a background "
-                            "writer thread (bg)")
+                       help="wait for each snapshot write to land and "
+                            "fail the tick on a write error (sync), or "
+                            "leave it to the background writer thread (bg)")
     serve.add_argument("--snapshot-deltas", type=int, default=0, metavar="K",
-                       help="incremental snapshots: write K per-shard "
-                            "delta snapshots between full bases behind an "
-                            "atomic manifest.json (0 = full snapshots only)")
+                       help="write K delta snapshots (dirty streams only) "
+                            "after each full base (0 = a full base at "
+                            "every cadence)")
     serve.add_argument("--snapshot-retain", type=int, default=0, metavar="N",
-                       help="with --snapshot-deltas: keep only the newest "
-                            "N superseded base+delta generations on disk "
-                            "(0 = keep everything)")
+                       help="keep only the newest N superseded base+delta "
+                            "generations on disk (0 = keep everything)")
     serve.add_argument("--compare-naive", action="store_true",
                        help="also time the per-stream step loop and "
                             "verify identical outputs")
@@ -182,30 +182,30 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--ttl", type=int, default=None,
                          help="evict streams idle for this many ticks")
     cluster.add_argument("--snapshot-every", type=int, default=0, metavar="K",
-                         help="write a cluster snapshot every K ticks")
+                         help="commit a cluster snapshot every K ticks")
     cluster.add_argument("--snapshot-dir", default="snapshots", metavar="DIR",
-                         help="directory for snapshot artifacts")
+                         help="snapshot store directory (base/delta files "
+                              "behind an atomic manifest.json)")
     cluster.add_argument("--snapshot-mode", choices=["sync", "bg"],
                          default="sync",
-                         help="write snapshots on the tick thread (sync) or "
-                              "hand serialization + disk I/O to a background "
-                              "writer thread (bg)")
+                         help="wait for each snapshot write to land and "
+                              "fail the tick on a write error (sync), or "
+                              "leave it to the background writer thread "
+                              "(bg)")
     cluster.add_argument("--snapshot-deltas", type=int, default=0,
                          metavar="K",
-                         help="incremental snapshots: write K delta "
-                              "snapshots between full bases behind an "
-                              "atomic manifest.json (0 = full snapshots "
-                              "only)")
+                         help="write K delta snapshots (dirty streams only) "
+                              "after each full base (0 = a full base at "
+                              "every cadence)")
     cluster.add_argument("--snapshot-retain", type=int, default=0,
                          metavar="N",
-                         help="with --snapshot-deltas: keep only the newest "
-                              "N superseded base+delta generations on disk "
-                              "(0 = keep everything)")
-    cluster.add_argument("--restore", metavar="STEM",
-                         help="restore registry state from a snapshot stem, "
-                              "a snapshot-store directory, or its "
-                              "manifest.json (as written by "
-                              "--snapshot-every) before serving")
+                         help="keep only the newest N superseded base+delta "
+                              "generations on disk (0 = keep everything)")
+    cluster.add_argument("--restore", metavar="PATH",
+                         help="restore registry state before serving from a "
+                              "snapshot store directory (as --snapshot-every "
+                              "writes it), its manifest.json, or a legacy "
+                              "snapshot stem")
     cluster.add_argument("--compare-single", action="store_true",
                          help="also run the single-process engine and "
                               "verify bitwise-identical outputs")
@@ -761,7 +761,7 @@ def _cmd_simulate_streams(args) -> int:
     engine_fps = workload.n_frames / engine_seconds
     for stem in controller.snapshots_written:
         print(f"wrote snapshot {stem}.json/.npz")
-    if args.snapshot_deltas and controller.snapshots_written:
+    if controller.snapshots_written:
         print(f"snapshot manifest {args.snapshot_dir}/manifest.json")
 
     engine_outcomes = {
@@ -1128,7 +1128,7 @@ def _cmd_serve_cluster(args) -> int:
     _print_controller_summary(controller, autoscale, admission, final_shards)
     for stem in controller.snapshots_written:
         print(f"wrote snapshot {stem}.json/.npz")
-    if args.snapshot_deltas and controller.snapshots_written:
+    if controller.snapshots_written:
         print(f"snapshot manifest {args.snapshot_dir}/manifest.json")
 
     if args.compare_single:

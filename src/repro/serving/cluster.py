@@ -1239,28 +1239,8 @@ class ShardedEngine:
         whole cluster.  Each part keeps its worker-local lifecycle
         counters so a revived shard's statistics resume exactly.
         """
-        self._require_healthy()
-        self._require_drained()
-        parts = self._request_all(
-            [(worker, "snapshot", None) for worker in self._workers]
-        )
-        for worker, part in zip(self._workers, parts):
-            if part.tick != self._tick:
-                raise ClusterError(
-                    f"shard {worker.shard} is at tick {part.tick}, cluster at "
-                    f"{self._tick}; state diverged (restore from a snapshot)"
-                )
-        merged = RegistrySnapshot(
-            tick=self._tick,
-            max_buffer_length=parts[0].max_buffer_length,
-            idle_ttl=parts[0].idle_ttl,
-            statistics=dict(self._base_statistics),
-            streams=[stream for part in parts for stream in part.streams],
-        )
-        for part in parts:
-            for key in merged.statistics:
-                merged.statistics[key] += part.statistics.get(key, 0)
-        return merged, dict(enumerate(parts))
+        parts, merged = self._snapshot_parts("snapshot", None)
+        return RegistrySnapshot(**merged), dict(enumerate(parts))
 
     def snapshot_delta(self, since_tick: int) -> DeltaSnapshot:
         """Cluster-wide incremental snapshot: streams dirty since a tick.
@@ -1272,32 +1252,60 @@ class ShardedEngine:
         current tick bitwise (same shard-order stream layout, same
         absolute statistics).
         """
+        parts, merged = self._snapshot_parts("delta", int(since_tick))
+        return DeltaSnapshot(
+            base_tick=int(since_tick),
+            live_ids=[
+                stream_id for part in parts for stream_id in part.live_ids
+            ],
+            **merged,
+        )
+
+    def _snapshot_parts(self, command: str, argument) -> tuple[list, dict]:
+        """One tick-checked snapshot part per shard, plus the merged
+        fields both snapshot kinds share: streams in shard order and
+        lifecycle statistics summed over the cluster base."""
         self._require_healthy()
         self._require_drained()
         parts = self._request_all(
-            [(worker, "delta", int(since_tick)) for worker in self._workers]
+            [(worker, command, argument) for worker in self._workers]
         )
+        statistics = dict(self._base_statistics)
         for worker, part in zip(self._workers, parts):
             if part.tick != self._tick:
                 raise ClusterError(
                     f"shard {worker.shard} is at tick {part.tick}, cluster at "
                     f"{self._tick}; state diverged (restore from a snapshot)"
                 )
-        merged = DeltaSnapshot(
-            tick=self._tick,
-            base_tick=int(since_tick),
-            max_buffer_length=parts[0].max_buffer_length,
-            idle_ttl=parts[0].idle_ttl,
-            statistics=dict(self._base_statistics),
-            streams=[stream for part in parts for stream in part.streams],
-            live_ids=[
-                stream_id for part in parts for stream_id in part.live_ids
-            ],
-        )
-        for part in parts:
-            for key in merged.statistics:
-                merged.statistics[key] += part.statistics.get(key, 0)
-        return merged
+            for key in statistics:
+                statistics[key] += part.statistics.get(key, 0)
+        return parts, {
+            "tick": self._tick,
+            "max_buffer_length": parts[0].max_buffer_length,
+            "idle_ttl": parts[0].idle_ttl,
+            "statistics": statistics,
+            "streams": [stream for part in parts for stream in part.streams],
+        }
+
+    def split_snapshot(
+        self, snapshot: RegistrySnapshot
+    ) -> list[RegistrySnapshot]:
+        """One part per shard by this cluster's ring, from a snapshot of
+        any topology; lifecycle counters live in the cluster base, so
+        the parts carry none."""
+        split: list[list] = [[] for _ in self._workers]
+        for stream in snapshot.streams:
+            split[self.shard_for(stream.stream_id)].append(stream)
+        return [
+            RegistrySnapshot(
+                tick=snapshot.tick,
+                max_buffer_length=snapshot.max_buffer_length,
+                idle_ttl=snapshot.idle_ttl,
+                statistics={},
+                streams=streams,
+            )
+            for streams in split
+        ]
 
     def restore(self, snapshot: RegistrySnapshot) -> None:
         """Load a snapshot, splitting the streams across the shards.
@@ -1311,23 +1319,12 @@ class ShardedEngine:
         self._require_healthy()
         self._require_drained()
         self._salvage = None  # the tick it belonged to is superseded
-        split: list[list] = [[] for _ in self._workers]
-        for stream in snapshot.streams:
-            split[self.shard_for(stream.stream_id)].append(stream)
         self._request_all(
             [
-                (
-                    worker,
-                    "restore",
-                    RegistrySnapshot(
-                        tick=snapshot.tick,
-                        max_buffer_length=snapshot.max_buffer_length,
-                        idle_ttl=snapshot.idle_ttl,
-                        statistics={},  # lifecycle counters live in the base
-                        streams=streams,
-                    ),
+                (worker, "restore", part)
+                for worker, part in zip(
+                    self._workers, self.split_snapshot(snapshot)
                 )
-                for worker, streams in zip(self._workers, split)
             ]
         )
         self._tick = snapshot.tick

@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from repro.exceptions import ClusterWorkerError, ValidationError
@@ -300,6 +300,7 @@ class ControllerStats:
     rebalances: int = 0
     snapshots_written: int = 0
     snapshots_dropped: int = 0
+    snapshot_errors: int = 0
     failovers: int = 0
     shard_recoveries: int = 0
     shards_respawned: int = 0
@@ -314,29 +315,7 @@ class ControllerStats:
     dropped_by_priority: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "frames_submitted": self.frames_submitted,
-            "frames_admitted": self.frames_admitted,
-            "frames_resumed": self.frames_resumed,
-            "frames_deferred": self.frames_deferred,
-            "admission_overflow": self.admission_overflow,
-            "rebalances": self.rebalances,
-            "snapshots_written": self.snapshots_written,
-            "snapshots_dropped": self.snapshots_dropped,
-            "failovers": self.failovers,
-            "shard_recoveries": self.shard_recoveries,
-            "shards_respawned": self.shards_respawned,
-            "replayed_ticks": self.replayed_ticks,
-            "recovery_seconds": self.recovery_seconds,
-            "telemetry_window": self.telemetry_window,
-            "slo_breaches": self.slo_breaches,
-            "slo_alerts": self.slo_alerts,
-            "backpressure_throttles": self.backpressure_throttles,
-            "max_inflight_depth": self.max_inflight_depth,
-            "deferred_by_priority": dict(self.deferred_by_priority),
-            "dropped_by_priority": dict(self.dropped_by_priority),
-        }
+        return asdict(self)
 
 
 class _QueuedFrame:
@@ -412,31 +391,31 @@ class ServingController:
         :class:`~repro.serving.cluster.ShardedEngine`); ``None`` (the
         default) keeps the fail-fast behavior.
     snapshot_every / snapshot_dir:
-        Write ``engine`` + controller state to
-        ``snapshot_dir/tick_NNNNNN`` every K completed ticks (0 = never).
+        Every K completed ticks (0 = never), capture ``engine`` +
+        controller state on the tick path and commit it to the
+        :class:`~repro.serving.durability.SnapshotStore` in
+        ``snapshot_dir`` through one background
+        :class:`~repro.serving.durability.SnapshotWriter` thread.  The
+        store's atomic ``manifest.json`` names the newest restorable
+        chain; load it with
+        :func:`~repro.serving.durability.load_snapshot`.
     snapshot_mode:
-        ``"sync"`` (default) serializes and writes each due snapshot on
-        the tick path, as always.  ``"bg"`` captures the consistent copy
-        on the tick path but hands serialization + disk I/O to a single
-        background writer thread with a bounded queue
-        (:class:`~repro.serving.durability.SnapshotWriter`): a slow disk
-        back-pressures into *dropped snapshots* (the loud
+        ``"sync"`` (default) waits for each write to land and re-raises
+        its error out of the tick.  ``"bg"`` returns at once: a slow
+        disk back-pressures into *dropped snapshots* (the loud
         ``snapshots_dropped`` stat / ``repro_snapshot_dropped_total``
         counter), never into tick latency; :meth:`close` drains every
-        accepted write.
+        accepted write.  In both modes a failed write is counted in
+        ``snapshot_errors`` / ``repro_snapshot_errors_total`` and the
+        next cadence commits a full base.
     snapshot_deltas:
-        0 (default) keeps the classic one-full-snapshot-per-cadence
-        ``tick_NNNNNN`` layout.  K > 0 switches ``snapshot_dir`` to the
-        incremental :class:`~repro.serving.durability.SnapshotStore`
-        layout: a full ``base_NNNNNN`` followed by up to K
-        ``delta_NNNNNN`` chains (each delta carries only streams dirty
-        since the previous write), composed through an atomic
-        ``manifest.json`` -- load with
-        :func:`~repro.serving.durability.load_snapshot`, bitwise what a
-        full snapshot at the same tick would restore.
+        Cadences written as deltas (only the streams dirty since the
+        previous accepted write) after each full ``base_NNNNNN``; 0
+        (default) commits a base at every cadence.  The composed chain
+        is bitwise what a full snapshot at the same tick would restore.
     snapshot_retain:
-        With ``snapshot_deltas > 0``: superseded base+delta generations
-        kept on disk after each compaction (0 = keep everything).
+        Superseded base+delta generations kept on disk after each new
+        base (0 = keep everything).
     owns_engine:
         When True, leaving the controller's context (or calling
         :meth:`close`) also closes the engine -- the lifecycle guarantee
@@ -564,23 +543,18 @@ class ServingController:
             maxlen=SNAPSHOTS_WRITTEN_KEEP
         )
         self._closed = False
-        # Durability state: the background writer ("bg" mode), the
-        # incremental base+delta store (snapshot_deltas > 0), the tick
-        # of the last accepted write (None forces a full base), how many
-        # deltas the current chain holds, and sync-path write timings
-        # awaiting metric publication.
+        # Durability state: the writer thread and the base+delta store
+        # every cadence commits to, the tick of the last accepted write
+        # (None forces a full base), and how many deltas the current
+        # chain holds.
         self._snapshot_writer = None
         self._snapshot_store = None
         self._delta_epoch: int | None = None
         self._deltas_since_base = 0
-        self._sync_write_timings: list[float] = []
-        if snapshot_every and snapshot_mode == "bg":
-            from repro.serving.durability import SnapshotWriter
+        if snapshot_every:
+            from repro.serving.durability import SnapshotStore, SnapshotWriter
 
             self._snapshot_writer = SnapshotWriter()
-        if snapshot_every and snapshot_deltas > 0:
-            from repro.serving.durability import SnapshotStore
-
             self._snapshot_store = SnapshotStore(
                 snapshot_dir, retain=snapshot_retain
             )
@@ -615,7 +589,7 @@ class ServingController:
             # controlled operation has a baseline to restore -- one that
             # includes any state the engine already held when this
             # controller attached to it.
-            self._rearm_checkpoint()
+            self._capture()
         # Observability publication state: metric families plus the last
         # published value of each cumulative counter (publication is by
         # delta against ``stats``, so scrape and stats always agree).
@@ -637,6 +611,7 @@ class ServingController:
             # on disk (and must, before an owned engine's workers go
             # away) -- only queue-refused writes are ever lost, loudly.
             self._snapshot_writer.close()
+            self._count_write_errors()
         if self.owns_engine and hasattr(self.engine, "close"):
             self.engine.close()
 
@@ -862,7 +837,7 @@ class ServingController:
                 len(self._journal) >= self.failover.journal_depth
                 and not self._pending_ticks
             ):
-                self._refresh_recovery_point(recovery)
+                self._capture(recovery)
 
         alpha = self.autoscale.ewma_alpha if self.autoscale is not None else 0.3
         if self._latency_ewma is None:
@@ -989,7 +964,7 @@ class ServingController:
                 # restore a dead shard's streams from, so a worker death
                 # during this capture must fail fast rather than
                 # blank-revive the shard and silently diverge.
-                self._rearm_checkpoint()
+                self._capture()
             try:
                 return operation()
             except ClusterWorkerError as error:
@@ -1148,41 +1123,33 @@ class ServingController:
                     replayed=recovery.replayed,
                 )
 
-    def _rearm_checkpoint(self) -> None:
-        """(Re)capture the recovery baseline from the engine as it
-        stands: the merged snapshot plus -- on a sharded engine -- the
-        per-shard checkpoint parts, all from one fan-out.  Unprotected
-        by design (see the callers' comments): with no baseline in hand
-        a worker death here must fail fast."""
-        shards_fn = getattr(self.engine, "snapshot_shards", None)
-        if shards_fn is not None:
+    def _capture(
+        self, recovery: _RecoveryLog | None = None, attach: bool = False
+    ) -> RegistrySnapshot:
+        """The one snapshot capture: the merged snapshot, plus per-shard
+        parts (live worker statistics included) from the same
+        ``snapshot_shards`` fan-out on a sharded engine.
+
+        ``recovery`` makes the capture failover-protected; without it
+        (re-arming a missing baseline) a worker death must fail fast,
+        as there is no checkpoint to revive the shard from.  ``attach``
+        embeds the controller state before the journal is cleared.
+        With failover on, the capture becomes the recovery point.
+        """
+        shards_fn = getattr(self.engine, "snapshot_shards", None) or (
+            lambda: (self.engine.snapshot(), None)
+        )
+        if recovery is None:
             merged, parts = shards_fn()
         else:
-            merged, parts = self.engine.snapshot(), None
-        self._recovery_snapshot = merged
-        self._shard_checkpoints = parts
-        self._journal.clear()
-
-    def _refresh_recovery_point(self, recovery: _RecoveryLog) -> None:
-        """Advance the recovery snapshot (and the per-shard checkpoint
-        parts, on a sharded engine) to the current state and clear the
-        journal.  Itself failover-protected: a worker lost during the
-        checkpoint capture is recovered from the previous checkpoint."""
-        shards_fn = getattr(self.engine, "snapshot_shards", None)
-        if shards_fn is not None:
-            merged, parts = self._attempt(
-                shards_fn, recovery, kind="snapshot"
-            )
-        else:
-            merged, parts = (
-                self._attempt(
-                    self.engine.snapshot, recovery, kind="snapshot"
-                ),
-                None,
-            )
-        self._recovery_snapshot = merged
-        self._shard_checkpoints = parts
-        self._journal.clear()
+            merged, parts = self._attempt(shards_fn, recovery, kind="snapshot")
+        if attach:
+            merged.controller = self.state_dict()
+        if self.failover is not None:
+            self._recovery_snapshot = merged
+            self._shard_checkpoints = parts
+            self._journal.clear()
+        return merged
 
     def _rebalance_engine(self, target: int, recovery: _RecoveryLog) -> dict:
         """``engine.rebalance`` with failover protection.
@@ -1196,7 +1163,7 @@ class ServingController:
         """
         summary = self._attempt(lambda: self.engine.rebalance(target), recovery)
         if self.failover is not None:
-            self._refresh_recovery_point(recovery)
+            self._capture(recovery)
         return summary
 
     def rebalance(self, n_shards: int) -> dict:
@@ -1405,11 +1372,17 @@ class ServingController:
         )
         f["snapshots"] = m.counter(
             "repro_controller_snapshots_total",
-            "Periodic snapshots written to disk.",
+            "Periodic snapshot writes the writer accepted (a failed write "
+            "is also counted in repro_snapshot_errors_total).",
         )
         f["snapshots_dropped"] = m.counter(
             "repro_snapshot_dropped_total",
             "Snapshot writes refused by the full background writer queue.",
+        )
+        f["snapshot_errors"] = m.counter(
+            "repro_snapshot_errors_total",
+            "Accepted snapshot writes that failed; each forces the next "
+            "cadence to commit a full base.",
         )
         f["snapshot_queue"] = m.gauge(
             "repro_snapshot_queue_depth",
@@ -1418,7 +1391,7 @@ class ServingController:
         f["snapshot_write"] = m.histogram(
             "repro_snapshot_write_seconds",
             "Wall time of serialization + disk I/O per snapshot write "
-            "(background writer thread or synchronous tick path).",
+            "on the writer thread.",
         )
         f["shard_recoveries"] = m.counter(
             "repro_controller_shard_recoveries_total",
@@ -1560,6 +1533,9 @@ class ServingController:
             f["snapshots_dropped"],
         )
         self._advance(
+            "snapshot_errors", stats.snapshot_errors, f["snapshot_errors"]
+        )
+        self._advance(
             "shard_recoveries",
             stats.shard_recoveries,
             f["shard_recoveries"],
@@ -1569,10 +1545,6 @@ class ServingController:
             f["snapshot_queue"].set(writer.queue_depth)
             for seconds in writer.drain_timings():
                 f["snapshot_write"].observe(seconds)
-        if self._sync_write_timings:
-            for seconds in self._sync_write_timings:
-                f["snapshot_write"].observe(seconds)
-            self._sync_write_timings.clear()
         self._advance("failovers", stats.failovers, f["failovers"])
         self._advance("respawned", stats.shards_respawned, f["respawned"])
         self._advance("replayed", stats.replayed_ticks, f["replayed"])
@@ -1709,30 +1681,7 @@ class ServingController:
         worker lost *during* the capture is recovered and the capture
         retried.
         """
-        return self._snapshot(_RecoveryLog())
-
-    def _snapshot(self, recovery: _RecoveryLog) -> RegistrySnapshot:
-        shards_fn = getattr(self.engine, "snapshot_shards", None)
-        if self.failover is not None and shards_fn is not None:
-            # One fan-out yields the snapshot AND the per-shard recovery
-            # checkpoints (the parts carry live worker statistics, so
-            # shard-local recovery resumes counters exactly).
-            snapshot, parts = self._attempt(
-                shards_fn, recovery, kind="snapshot"
-            )
-        else:
-            snapshot = self._attempt(
-                self.engine.snapshot, recovery, kind="snapshot"
-            )
-            parts = None
-        snapshot.controller = self.state_dict()
-        if self.failover is not None:
-            # Engine restore ignores the attached controller state, so
-            # the returned object can serve directly as the baseline.
-            self._recovery_snapshot = snapshot
-            self._shard_checkpoints = parts
-            self._journal.clear()
-        return snapshot
+        return self._capture(_RecoveryLog(), attach=True)
 
     def restore(self, snapshot: RegistrySnapshot) -> None:
         """Restore engine *and* controller state from a snapshot.
@@ -1754,16 +1703,15 @@ class ServingController:
             # contains every journaled tick's effects, so the replay
             # window restarts empty (any journal the controller state
             # carried was bookkeeping for the *capturing* run).  The
-            # per-shard parts are re-derived by ring split with empty
-            # statistics -- exact, because engine.restore just zeroed
+            # per-shard parts are the very split engine.restore sent,
+            # with empty statistics -- exact, because it just zeroed
             # every worker's lifecycle counters into the cluster base.
+            split = getattr(self.engine, "split_snapshot", None)
             self._recovery_snapshot = snapshot
-            self._shard_checkpoints = self._derive_shard_checkpoints(snapshot)
+            self._shard_checkpoints = (
+                dict(enumerate(split(snapshot))) if split else None
+            )
             self._journal.clear()
-        # Whatever delta chain was being written described the previous
-        # timeline; the next cadence starts a fresh base.
-        self._delta_epoch = None
-        self._deltas_since_base = 0
         if self.autoscale is not None and snapshot.controller is not None:
             recorded = snapshot.controller.get("n_shards")
             if recorded is not None and recorded != self.n_shards:
@@ -1858,11 +1806,11 @@ class ServingController:
         self._journal.clear()
         # Whatever recovery baseline existed belongs to the previous
         # state; the next protected operation captures a fresh one from
-        # the engine as it then stands.  Same for the delta chain.
+        # the engine as it then stands.  The delta chain described the
+        # previous timeline too: the next cadence commits a fresh base.
         self._recovery_snapshot = None
         self._shard_checkpoints = None
         self._delta_epoch = None
-        self._deltas_since_base = 0
         if state is None:
             return
         self._seq = int(state.get("seq", 0))
@@ -1895,98 +1843,66 @@ class ServingController:
                     [frame_from_state(entry) for entry in batch]
                 )
 
-    def _derive_shard_checkpoints(
-        self, snapshot: RegistrySnapshot
-    ) -> dict[int, RegistrySnapshot] | None:
-        """Split a freshly-restored merged snapshot into per-shard parts."""
-        shard_for = getattr(self.engine, "shard_for", None)
-        if shard_for is None:
-            return None
-        n_shards = self.engine.n_shards
-        split: dict[int, list] = {shard: [] for shard in range(n_shards)}
-        for stream in snapshot.streams:
-            shard = shard_for(stream.stream_id)
-            if shard in split:
-                split[shard].append(stream)
-        return {
-            shard: RegistrySnapshot(
-                tick=snapshot.tick,
-                max_buffer_length=snapshot.max_buffer_length,
-                idle_ttl=snapshot.idle_ttl,
-                statistics={},  # engine.restore zeroed them into the base
-                streams=streams,
-            )
-            for shard, streams in split.items()
-        }
-
     def _record_written(self, label: str) -> None:
         self.stats.snapshots_written += 1
         self.snapshots_written.append(label)
 
-    def _write_one(self, label: str, write: Callable[[], object]) -> bool:
-        """Route one accepted-capture write through the configured path:
-        the background writer ("bg" mode; False = queue full, dropped
-        loudly) or a timed synchronous write."""
-        if self._snapshot_writer is not None:
-            if not self._snapshot_writer.submit(label, write):
-                self.stats.snapshots_dropped += 1
-                return False
-            return True
-        started = time.perf_counter()
-        write()
-        if self.metrics is not None:  # pending histogram observations
-            self._sync_write_timings.append(time.perf_counter() - started)
-        return True
+    def _count_write_errors(self) -> int:
+        """Fold the writer's failures since the last look into
+        ``snapshot_errors``; returns how many were new.  The store's
+        manifest still names the chain as it stood before a failed
+        write, so the next cadence must start a fresh base."""
+        new = (
+            self._snapshot_writer.stats()["errors"]
+            - self.stats.snapshot_errors
+        )
+        if new:
+            self.stats.snapshot_errors += new
+            self._delta_epoch = None
+        return new
 
     def _write_snapshot(self, recovery: _RecoveryLog) -> None:
-        import pathlib
-
-        if self._snapshot_store is not None:
-            self._write_incremental(recovery)
-            return
-        stem = pathlib.Path(self.snapshot_dir) / f"tick_{self.engine.tick:06d}"
-        snapshot = self._snapshot(recovery)
-        if self._write_one(str(stem), lambda: snapshot.save(stem)):
-            self._record_written(str(stem))
-
-    def _write_incremental(self, recovery: _RecoveryLog) -> None:
-        """One cadence write in the base+delta store layout.
+        """One cadence write into the base+delta store.
 
         A full base opens each chain (and whenever no accepted epoch
-        exists); the next K cadences write deltas of only the streams
-        dirty since the *last accepted* write.  The epoch advances only
-        on accepted writes, so a queue-dropped delta simply widens the
-        next delta's dirty window -- the on-disk chain stays contiguous.
+        exists, or a write failed); the next ``snapshot_deltas``
+        cadences write deltas of only the streams dirty since the *last
+        accepted* write.  The epoch advances only on accepted writes, so
+        a queue-refused delta simply widens the next delta's dirty
+        window.  ``"sync"`` mode waits for the write and re-raises its
+        error; ``"bg"`` returns at once.
         """
+        writer = self._snapshot_writer
         store = self._snapshot_store
         tick = self.engine.tick
+        self._count_write_errors()
         if (
             self._delta_epoch is None
             or self._deltas_since_base >= self.snapshot_deltas
         ):
-            snapshot = self._snapshot(recovery)
-            label = str(store.base_stem(tick))
-            accepted = self._write_one(
-                label, lambda: store.commit_base(snapshot)
-            )
-            next_chain_length = 0
+            payload = self._capture(recovery, attach=True)
+            label, commit = str(store.base_stem(tick)), store.commit_base
+            chain_length = 0
         else:
             since = self._delta_epoch
-            delta = self._attempt(
+            payload = self._attempt(
                 lambda: self.engine.snapshot_delta(since),
                 recovery,
                 kind="snapshot",
             )
-            delta.controller = self.state_dict()
-            label = str(store.delta_stem(tick))
-            accepted = self._write_one(
-                label, lambda: store.commit_delta(delta)
-            )
-            next_chain_length = self._deltas_since_base + 1
-        if accepted:
-            self._record_written(label)
-            self._delta_epoch = tick
-            self._deltas_since_base = next_chain_length
+            payload.controller = self.state_dict()
+            label, commit = str(store.delta_stem(tick)), store.commit_delta
+            chain_length = self._deltas_since_base + 1
+        if not writer.submit(label, lambda: commit(payload)):
+            self.stats.snapshots_dropped += 1
+            return
+        self._record_written(label)
+        self._delta_epoch = tick
+        self._deltas_since_base = chain_length
+        if self.snapshot_mode == "sync":
+            writer.drain()
+            if self._count_write_errors():
+                raise writer.last_error[1]
 
 
 class _AdmissionOutcome:

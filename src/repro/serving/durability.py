@@ -1,47 +1,47 @@
 """Non-blocking, incremental durability for serving snapshots.
 
-Until this module, durability sat *on* the hot path: every
-``snapshot_every`` cadence the controller serialized the whole registry
-with ``np.savez_compressed`` inside the tick -- an O(all streams) stall
-for every stream, every time -- and the ``.json``/``.npz`` pair hit disk
-non-atomically, so a crash mid-write could leave a sidecar silently
-paired with stale arrays.  This module supplies the two missing pieces
-(:mod:`repro.serving.state` supplies the third, atomic digested file
-writes):
+Every periodic snapshot takes one path: the controller captures a
+consistent copy on the tick, hands it to the one :class:`SnapshotWriter`
+thread, and that thread commits it to the one :class:`SnapshotStore`.
+:mod:`repro.serving.state` supplies the atomic, digested file writes
+underneath.
 
 * :class:`SnapshotWriter` -- a single background thread with a bounded
-  queue.  The tick path pays only the consistent *capture* (the
-  already-detached array copies a snapshot is made of); serialization
-  and disk I/O happen off-thread.  A full queue drops the newest job
-  loudly (``dropped`` counter -- the controller surfaces it as
-  ``snapshots_dropped`` / ``repro_snapshot_dropped_total``) instead of
-  blocking the tick, and :meth:`SnapshotWriter.close` drains everything
-  queued before shutdown so no accepted snapshot is ever lost silently.
+  queue.  The tick path pays only the *capture* (the already-detached
+  array copies a snapshot is made of); serialization and disk I/O happen
+  off-thread.  A full queue drops the newest job loudly (``dropped`` --
+  the controller surfaces it as ``snapshots_dropped`` /
+  ``repro_snapshot_dropped_total``) instead of blocking the tick, a job
+  that raises is counted (``errors``), and :meth:`SnapshotWriter.close`
+  drains everything queued, so no accepted snapshot is lost silently.
+  The controller's ``"sync"`` mode merely waits for each write to land
+  (and re-raises its error); ``"bg"`` does not.
 
-* :class:`SnapshotStore` -- the incremental on-disk layout: full
-  ``base_NNNNNN`` snapshots plus ``delta_NNNNNN`` chains
+* :class:`SnapshotStore` -- the on-disk layout: full ``base_NNNNNN``
+  snapshots plus ``delta_NNNNNN`` chains
   (:class:`~repro.serving.state.DeltaSnapshot`), committed through an
   atomically-replaced ``manifest.json`` that names the live chain with a
   content digest per component.  ``load`` verifies every digest, then
   composes base + deltas back into one
   :class:`~repro.serving.state.RegistrySnapshot`
   (:func:`~repro.serving.state.compose_snapshot`) -- bitwise what a full
-  synchronous snapshot at the same tick would hold.  Superseded
-  generations are optionally garbage-collected after compaction
-  (``retain``).
+  snapshot at the same tick would hold.  Superseded generations are
+  optionally garbage-collected after each new base (``retain``).
 
 * :func:`load_snapshot` -- one loader for both layouts: a store
   directory (or its ``manifest.json``) composes the chain; a legacy
-  ``tick_NNNNNN`` stem loads the classic pair.
+  ``tick_NNNNNN`` stem, as :meth:`RegistrySnapshot.save
+  <repro.serving.state.RegistrySnapshot.save>` writes it, loads the
+  classic pair.
 
-Single-writer by construction: exactly one thread ever mutates a store
-(the background writer in ``bg`` mode, the tick thread in ``sync``
-mode), so the store needs no locking -- the writer's bounded queue *is*
+Single-writer by construction: only the writer thread ever mutates a
+store, so the store needs no locking -- the writer's bounded queue *is*
 the serialization point.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import queue
@@ -52,7 +52,6 @@ from repro.exceptions import ValidationError
 from repro.serving.state import (
     DeltaSnapshot,
     RegistrySnapshot,
-    arrays_digest,  # noqa: F401  (re-exported: the store's digest primitive)
     compose_snapshot,
 )
 
@@ -216,52 +215,69 @@ class SnapshotStore:
         stem = self.base_stem(snapshot.tick)
         json_path, _ = snapshot.save(stem)
         previous = self._manifest
-        self._manifest = {
-            "format": _MANIFEST_FORMAT,
-            "version": _MANIFEST_VERSION,
-            "tick": snapshot.tick,
-            "base": self._entry(stem, snapshot.tick, json_path),
-            "deltas": [],
-        }
-        self._write_manifest()
+        self._commit(
+            {
+                "format": _MANIFEST_FORMAT,
+                "version": _MANIFEST_VERSION,
+                "tick": snapshot.tick,
+                "base": self._entry(stem, snapshot.tick, json_path),
+                "deltas": [],
+            }
+        )
         if previous is not None:
             self._history.append(previous)
             self._gc()
         return stem
 
     def commit_delta(self, delta: DeltaSnapshot) -> pathlib.Path:
-        """Append one delta to the live chain."""
+        """Append one delta to the live chain.
+
+        The delta must chain from the manifest's tick: one that was
+        captured against a write which never committed (a failed or
+        refused earlier write) is refused, and the manifest keeps naming
+        the last restorable chain.
+        """
         if self._manifest is None:
             raise ValidationError(
                 "cannot commit a delta before any base snapshot"
+            )
+        if delta.base_tick != self._manifest["tick"]:
+            raise ValidationError(
+                f"delta at tick {delta.tick} chains from tick "
+                f"{delta.base_tick}, but the manifest is at tick "
+                f"{self._manifest['tick']}; commit a base instead"
             )
         stem = self.delta_stem(delta.tick)
         json_path, _ = delta.save(stem)
         entry = self._entry(stem, delta.tick, json_path)
         entry["base_tick"] = delta.base_tick
-        self._manifest["deltas"].append(entry)
-        self._manifest["tick"] = delta.tick
-        self._write_manifest()
+        self._commit(
+            {
+                **self._manifest,
+                "tick": delta.tick,
+                "deltas": [*self._manifest["deltas"], entry],
+            }
+        )
         return stem
 
     @staticmethod
     def _entry(stem: pathlib.Path, tick: int, json_path: pathlib.Path) -> dict:
-        import hashlib
-
-        digest = hashlib.blake2b(json_path.read_bytes(), digest_size=16)
         return {
             "stem": stem.name,
             "tick": int(tick),
-            "sidecar_digest": digest.hexdigest(),
+            "sidecar_digest": _digest(json_path.read_bytes()),
         }
 
-    def _write_manifest(self) -> None:
+    def _commit(self, manifest: dict) -> None:
+        """Write ``manifest`` atomically, then adopt it: a failed write
+        leaves both the on-disk and the in-memory manifest as they were."""
         from repro.serving.state import _atomic_write
 
-        payload = json.dumps(self._manifest, indent=2).encode()
+        payload = json.dumps(manifest, indent=2).encode()
         _atomic_write(
             self.directory / MANIFEST_NAME, lambda fh: fh.write(payload)
         )
+        self._manifest = manifest
 
     def _gc(self) -> None:
         if not self.retain:
@@ -313,8 +329,6 @@ class SnapshotStore:
 
     @staticmethod
     def _check_entry(directory, entry: dict, manifest_path) -> None:
-        import hashlib
-
         sidecar = directory / (entry["stem"] + ".json")
         try:
             payload = sidecar.read_bytes()
@@ -322,13 +336,18 @@ class SnapshotStore:
             raise ValidationError(
                 f"manifest {manifest_path} names {sidecar}, which is missing"
             ) from None
-        actual = hashlib.blake2b(payload, digest_size=16).hexdigest()
+        actual = _digest(payload)
         if actual != entry.get("sidecar_digest"):
             raise ValidationError(
                 f"{sidecar} does not match manifest {manifest_path}: "
                 f"sidecar digest {actual} != recorded "
                 f"{entry.get('sidecar_digest')}"
             )
+
+
+def _digest(payload: bytes) -> str:
+    """The manifest's per-component digest of a sidecar's bytes."""
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
 def load_snapshot(path) -> RegistrySnapshot:

@@ -26,6 +26,7 @@ from repro.serving import (
     ShardedEngine,
     StreamFrame,
     StreamingEngine,
+    load_snapshot,
 )
 
 
@@ -147,14 +148,16 @@ class TestDisabledPoliciesAreTransparent:
             snapshot_dir=tmp_path / "snaps",
         ) as controller:
             controller.run([tick_frames(series, ids, t) for t in range(6)])
+        # snapshot_deltas=0: every cadence commits a full base.
         assert [s.rsplit("/", 1)[-1] for s in controller.snapshots_written] == [
-            "tick_000002",
-            "tick_000004",
-            "tick_000006",
+            "base_000002",
+            "base_000004",
+            "base_000006",
         ]
-        loaded = RegistrySnapshot.load(tmp_path / "snaps" / "tick_000004")
+        loaded = RegistrySnapshot.load(tmp_path / "snaps" / "base_000004")
         assert loaded.tick == 4
         assert loaded.controller is not None  # controller state rides along
+        assert load_snapshot(tmp_path / "snaps").tick == 6
 
 
 class TestAdmission:

@@ -172,7 +172,7 @@ class TestKillMatrix:
         assert got == expected
         assert stats == expected_stats
         if phase == "snapshot":
-            written = RegistrySnapshot.load(tmp_path / "snaps" / "tick_000003")
+            written = RegistrySnapshot.load(tmp_path / "snaps" / "base_000003")
             assert written.tick == 3
             assert written.n_streams == n_streams
 

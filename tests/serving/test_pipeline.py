@@ -199,7 +199,7 @@ class TestWindowedEquivalence:
 
         for cadence_tick in (3, 6):
             written = RegistrySnapshot.load(
-                tmp_path / "snaps" / f"tick_{cadence_tick:06d}"
+                tmp_path / "snaps" / f"base_{cadence_tick:06d}"
             )
             assert written.tick == cadence_tick
             assert written.n_streams == 10

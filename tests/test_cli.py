@@ -159,26 +159,35 @@ class TestServeClusterCommand:
         assert report["frames"] == 12 * 6
         assert report["outputs_identical"] is True
         assert len(report["snapshots_written"]) == 2
-        assert (tmp_path / "snaps" / "tick_000006.json").exists()
-        assert (tmp_path / "snaps" / "tick_000006.npz").exists()
+        assert (tmp_path / "snaps" / "manifest.json").exists()
+        assert (tmp_path / "snaps" / "base_000006.json").exists()
+        assert (tmp_path / "snaps" / "base_000006.npz").exists()
+        assert "snapshot manifest" in out
 
-        # Resume from the final snapshot in a different topology.
-        code = main(
-            [
-                "serve-cluster",
-                "--smoke",
-                "--streams", "12",
-                "--ticks", "3",
-                "--shards", "3",
-                "--threshold", "0.5",
-                "--restore", str(tmp_path / "snaps" / "tick_000006"),
-                "--compare-single",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "restored 12 streams at tick 6" in out
-        assert "outputs identical: True" in out
+        # Resume from the final snapshot in a different topology: from
+        # the store, and from a legacy stem RegistrySnapshot.save wrote
+        # (the loader still reads the classic pair).
+        from repro.serving import load_snapshot
+
+        legacy = tmp_path / "legacy" / "tick_000006"
+        load_snapshot(tmp_path / "snaps").save(legacy)
+        for source in (tmp_path / "snaps", legacy):
+            code = main(
+                [
+                    "serve-cluster",
+                    "--smoke",
+                    "--streams", "12",
+                    "--ticks", "3",
+                    "--shards", "3",
+                    "--threshold", "0.5",
+                    "--restore", str(source),
+                    "--compare-single",
+                ]
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "restored 12 streams at tick 6" in out
+            assert "outputs identical: True" in out
 
     def test_simulate_streams_sharded_path(self, tmp_path, capsys):
         args = build_parser().parse_args(["simulate-streams", "--smoke"])
