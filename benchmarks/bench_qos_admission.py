@@ -23,8 +23,8 @@ controlled runs:
 * an *observability overhead* run -- the same policy-free workload with
   a metrics registry + tracer attached vs. without; gates that the
   instrumented median tick stays within ``OBSERVABILITY_OVERHEAD_MAX``
-  of the uninstrumented one (the disabled path is the exact
-  pre-observability loop, so this bounds what opting in costs) and that
+  of the uninstrumented one (the plain run has no tracer and counts
+  into a private registry, so this bounds what opting in costs) and that
   attaching observability changes **zero** outcomes.
 
 Everything lands in ``BENCH_controller.json`` /
@@ -192,7 +192,7 @@ def test_admission_keeps_p95_within_budget(
 def test_observability_overhead_is_bounded(
     study_data, workload, write_bench_json
 ):
-    # Plain policy-free run: the exact pre-observability tick loop.
+    # Plain policy-free run: no tracer, counts into a private registry.
     plain = ServingController(_make_engine(study_data))
     plain_results = plain.run(workload.ticks)
     disabled = [t.latency_seconds for t in plain.telemetry]

@@ -709,9 +709,9 @@ class ShardedEngine:
         oldest in-flight tick has been waiting, the send/recv queue-age
         signal the controller's backpressure reads.
 
-        A metrics-enabled controller mirrors these counters into the
-        ``repro_fanout_*_total`` families (as deltas, after each tick),
-        so the scraped values and this dict always agree.
+        The controller copies these engine-owned counters into its
+        registry after each tick (as deltas), the only counts it copies;
+        a scrape agrees with this dict as of the last collected tick.
         """
         oldest = self._inflight[0]["submitted_at"] if self._inflight else None
         stats = {

@@ -64,25 +64,26 @@ the ``failovers`` / ``replay_depth`` / ``recovery_seconds`` telemetry
 records that a worker was lost.  Without the policy (the default),
 worker loss fails fast exactly as before.
 
-**Observability.**  The controller is the publication point of the
-:mod:`repro.serving.observability` seam: attach a
-:class:`~repro.serving.observability.metrics.MetricsRegistry` and every
-:class:`ControllerStats` counter is mirrored into Prometheus-style
-metric families after each tick (deltas of the same numbers, so a scrape
-can never disagree with ``stats``), tick latency and phase durations
-land in histograms, and a
+**Observability.**  The controller counts into a
+:class:`~repro.serving.observability.metrics.MetricsRegistry` -- the
+caller's, or a private one -- and that registry is the only store of
+its cumulative counts: every count is an ``inc`` on a Prometheus-style
+counter family at the site where it happens, and
+:attr:`ServingController.stats` is a read of those families, so a
+scrape can never disagree with ``stats``.  After each tick the gauges,
+the tick latency and phase histograms, and the engine's own fan-out
+counters are published into the same registry.  A
 :class:`~repro.serving.observability.tracing.TickTracer` records
 span-level timings of each tick's phases (intake -> admission -> step ->
-snapshot, plus the engine's fan-out sub-phases and failover recovery).
-With neither attached -- the default -- the tick loop runs the exact
-pre-observability code path: no extra clock reads, no allocations, no
-registry traffic.
+snapshot, plus the engine's fan-out sub-phases and failover recovery);
+one is attached automatically only when the caller passes ``metrics=``,
+so by default the tick loop reads no extra clock for spans.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -93,6 +94,7 @@ from repro.serving.engine import (
     validate_tick_frames,
 )
 from repro.serving.failover import FailoverPolicy
+from repro.serving.observability.metrics import MetricsRegistry
 from repro.serving.observability.tracing import null_span
 from repro.serving.state import (
     RegistrySnapshot,
@@ -114,13 +116,13 @@ __all__ = [
 CONTROLLER_STATE_VERSION = 1
 
 #: Per-tick telemetry records retained by a controller.  Cumulative
-#: counters live in :class:`ControllerStats` forever; the per-tick
+#: counters live in the metrics registry forever; the per-tick
 #: window is bounded so a long-lived serving loop cannot grow without
 #: limit (benchmarks and tests consume far fewer ticks than this).
 TELEMETRY_WINDOW = 4096
 
 #: Snapshot path strings retained in ``snapshots_written`` (FIFO).  The
-#: total count lives in ``ControllerStats.snapshots_written`` forever;
+#: total count lives in ``repro_controller_snapshots_total`` forever;
 #: the path list is bounded so a long-running server's snapshot cadence
 #: cannot grow controller memory without limit.
 SNAPSHOTS_WRITTEN_KEEP = 64
@@ -287,9 +289,10 @@ class TickTelemetry:
     inflight_depth: int = 0         # ticks still in the window after this one
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerStats:
-    """Cumulative counters over a controller's lifetime."""
+    """Cumulative counters over a controller's lifetime, as read from its
+    metric families by :attr:`ServingController.stats`."""
 
     ticks: int = 0
     frames_submitted: int = 0
@@ -316,6 +319,95 @@ class ControllerStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+#: The controller's metric families in exposition order:
+#: ``(key, kind, name, help, *labels)``.  A counter keyed by a
+#: :class:`ControllerStats` field is the only store of that field.
+_FAMILIES = (
+    ("ticks", "counter", "repro_controller_ticks_total",
+     "Controlled ticks completed."),
+    ("frames_submitted", "counter", "repro_controller_frames_submitted_total",
+     "Frames handed to the controller."),
+    ("frames_admitted", "counter", "repro_controller_frames_admitted_total",
+     "Frames the engine actually stepped."),
+    ("frames_resumed", "counter", "repro_controller_frames_resumed_total",
+     "Admitted frames that came from deferral queues."),
+    ("frames_deferred", "counter", "repro_controller_frames_deferred_total",
+     "Frames (re)queued by admission control, by priority class.", "priority"),
+    ("admission_overflow", "counter", "repro_controller_frames_dropped_total",
+     "Frames lost to deferral-queue overflow, by priority class.", "priority"),
+    ("rebalances", "counter", "repro_controller_rebalances_total",
+     "Shard-count changes (autoscale decisions + manual rebalances)."),
+    ("snapshots_written", "counter", "repro_controller_snapshots_total",
+     "Periodic snapshot writes the writer accepted (a failed write is also "
+     "counted in repro_snapshot_errors_total)."),
+    ("snapshots_dropped", "counter", "repro_snapshot_dropped_total",
+     "Snapshot writes refused by the full background writer queue."),
+    ("snapshot_errors", "counter", "repro_snapshot_errors_total",
+     "Accepted snapshot writes that failed; each forces the next cadence to "
+     "commit a full base."),
+    ("snapshot_queue", "gauge", "repro_snapshot_queue_depth",
+     "Snapshot writes accepted but not yet on disk."),
+    ("snapshot_write", "histogram", "repro_snapshot_write_seconds",
+     "Wall time of serialization + disk I/O per snapshot write on the writer "
+     "thread."),
+    ("shard_recoveries", "counter", "repro_controller_shard_recoveries_total",
+     "Recoveries that restored/replayed only the dead shard(s)."),
+    ("failovers", "counter", "repro_controller_failovers_total",
+     "Worker-failure recoveries performed."),
+    ("shards_respawned", "counter", "repro_controller_shards_respawned_total",
+     "Dead shard workers respawned during recovery."),
+    ("replayed_ticks", "counter", "repro_controller_replayed_ticks_total",
+     "Journaled ticks replayed during recovery."),
+    ("recovery_seconds", "counter", "repro_controller_recovery_seconds_total",
+     "Wall time spent in failover recovery."),
+    ("fanout_ticks", "counter", "repro_fanout_ticks_total",
+     "Multi-shard fan-out ticks executed by the sharded engine."),
+    ("fanout_encode", "counter", "repro_fanout_encode_seconds_total",
+     "Parent CPU time (process_time) building, encoding and sending fan-out "
+     "requests."),
+    ("fanout_overlap", "counter", "repro_fanout_overlap_seconds_total",
+     "Parent CPU time (process_time) of fan-out sends made while an earlier "
+     "shard was already computing."),
+    ("pool_hits", "counter", "repro_codec_pool_hits_total",
+     "Frame sends served from a recycled buffer-pool buffer."),
+    ("pool_misses", "counter", "repro_codec_pool_misses_total",
+     "Frame sends that had to allocate a fresh pool buffer."),
+    ("pool_bytes", "counter", "repro_codec_pool_bytes_copied_total",
+     "Payload bytes scatter-copied through the send-side codec (the pooled "
+     "encoder's single copy per segment)."),
+    ("backpressure_throttles", "counter",
+     "repro_cluster_backpressure_throttles_total",
+     "Admission frame-budget halvings forced by a saturated, behind-schedule "
+     "in-flight window."),
+    ("inflight_depth", "gauge", "repro_cluster_inflight_depth",
+     "Submitted-but-uncollected ticks still in the window after the last "
+     "collected tick."),
+    ("backlog", "gauge", "repro_controller_backlog_frames",
+     "Deferred frames currently queued across all streams."),
+    ("shards", "gauge", "repro_controller_shards",
+     "Current shard count."),
+    ("ewma", "gauge", "repro_controller_latency_ewma_seconds",
+     "Controller-level EWMA of tick latency (wall time)."),
+    ("window", "gauge", "repro_controller_telemetry_window_ticks",
+     "Per-tick telemetry records the controller retains."),
+    ("latency", "histogram", "repro_tick_latency_seconds",
+     "Measured submit-to-results wall time per controlled tick."),
+    ("phase", "histogram", "repro_tick_phase_seconds",
+     "Traced wall time of each tick phase.", "phase"),
+    ("recovery_hist", "histogram", "repro_recovery_seconds",
+     "Failover recovery wall time, per tick that recovered."),
+    ("worker_phase", "counter", "repro_cluster_worker_phase_seconds_total",
+     "Worker-side wall time per pipeline phase, per shard (piggybacked "
+     "telemetry; traced ticks only).", "shard", "phase"),
+    ("slo_burn", "gauge", "repro_slo_burn_rate",
+     "Error-budget burn rate per objective and window.", "slo", "window"),
+    ("slo_breaches", "counter", "repro_slo_breaches_total",
+     "Ticks whose latency breached the objective's budget.", "slo"),
+    ("slo_alerts", "counter", "repro_slo_alerts_total",
+     "Multi-window burn-rate alerts raised, by severity.", "slo", "severity"),
+)
 
 
 class _QueuedFrame:
@@ -433,9 +525,11 @@ class ServingController:
         covers.
     metrics:
         Optional
-        :class:`~repro.serving.observability.metrics.MetricsRegistry`;
-        when given, every tick publishes the controller's counters,
-        gauges, and latency/phase histograms into it.
+        :class:`~repro.serving.observability.metrics.MetricsRegistry`
+        the controller counts into (a private one when omitted); it
+        backs :attr:`stats`, and every tick also publishes gauges and
+        latency/phase histograms into it.  One controller per registry:
+        one that already holds a controller's families is refused.
     tracer:
         Optional
         :class:`~repro.serving.observability.tracing.TickTracer`
@@ -448,8 +542,8 @@ class ServingController:
         :class:`~repro.serving.observability.distributed.SLOTracker`; when
         given, every tick's latency is fed through its objectives and the
         verdicts surface in :class:`TickTelemetry` (``slo_breaches``,
-        ``slo_burn_rate``), :class:`ControllerStats`, and -- with
-        ``metrics`` attached -- the ``repro_slo_*`` metric families.
+        ``slo_burn_rate``), the ``repro_slo_*`` metric families, and
+        :class:`ControllerStats`.
     """
 
     def __init__(
@@ -508,6 +602,11 @@ class ServingController:
             raise ValidationError(
                 f"telemetry_window must be >= 1, got {telemetry_window}"
             )
+        if metrics is not None and metrics.get("repro_controller_ticks_total"):
+            raise ValidationError(
+                "metrics registry already holds a controller's counters; "
+                "give each ServingController its own MetricsRegistry"
+            )
         self.engine = engine
         self.autoscale = autoscale
         self.admission = admission
@@ -521,7 +620,6 @@ class ServingController:
         self.clock = clock
         self.on_tick = on_tick
         self.telemetry_window = telemetry_window
-        self.metrics = metrics
         if metrics is not None and tracer is None:
             # Metrics without a tracer would leave the phase histograms
             # empty; a default wall-clock tracer fills them.  Never tied
@@ -536,7 +634,13 @@ class ServingController:
             # spans of the same ticks through this attribute.
             engine.tracer = tracer
         self.slo = slo
-        self.stats = ControllerStats(telemetry_window=telemetry_window)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Metric families by key (a ControllerStats field for each own
+        # counter) and the last published engine counters (_advance).
+        self._metric: dict = {}
+        self._published: dict = {}
+        self._bind_metrics()
+        self._max_inflight_depth = 0
         #: The last :attr:`telemetry_window` ticks' telemetry records.
         self.telemetry: deque[TickTelemetry] = deque(maxlen=telemetry_window)
         self.snapshots_written: deque[str] = deque(
@@ -590,13 +694,6 @@ class ServingController:
             # includes any state the engine already held when this
             # controller attached to it.
             self._capture()
-        # Observability publication state: metric families plus the last
-        # published value of each cumulative counter (publication is by
-        # delta against ``stats``, so scrape and stats always agree).
-        self._metric: dict = {}
-        self._published: dict = {}
-        if metrics is not None:
-            self._bind_metrics()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -638,6 +735,38 @@ class ServingController:
     def latency_ewma(self) -> float | None:
         """Controller-level EWMA of tick latency (None before any tick)."""
         return self._latency_ewma
+
+    @property
+    def stats(self) -> ControllerStats:
+        """The cumulative counters, read from the counter families keyed
+        by a :class:`ControllerStats` field (one read per family)."""
+        fields = ControllerStats.__dataclass_fields__
+        read = {
+            name: family.values()
+            for name, family in self._metric.items()
+            if name in fields
+        }
+        counts = {name: int(sum(s.values())) for name, s in read.items()}
+        seconds = read["recovery_seconds"].values()
+        counts["recovery_seconds"] = sum(seconds, 0.0)
+        deferred, dropped = (
+            {int(key[0]): int(count) for key, count in read[name].items()}
+            for name in ("frames_deferred", "admission_overflow")
+        )
+        return ControllerStats(
+            **counts,
+            telemetry_window=self.telemetry_window,
+            max_inflight_depth=self._max_inflight_depth,
+            deferred_by_priority=deferred,
+            dropped_by_priority=dropped,
+        )
+
+    def _count(self, name: str, amount=1, **labels) -> None:
+        """Add a nonzero ``amount`` to the controller counter ``name``
+        (a series appears in a scrape once it counts something)."""
+        if amount:
+            family = self._metric[name]
+            (family.labels(**labels) if labels else family).inc(amount)
 
     # ------------------------------------------------------------------
     # The tick loop
@@ -791,15 +920,18 @@ class ServingController:
             raise
         if deferral is not None:
             deferral.commit(self.admission.max_deferred_per_stream)
-            self.stats.frames_resumed += deferral.resumed
-            for queued in deferral.deferred_frames:
-                self._note_deferred(queued)
-            for queued in deferral.dropped_frames:
-                self._note_dropped(queued)
+            self._count("frames_resumed", deferral.resumed)
+            for name, frames in (
+                ("frames_deferred", deferral.deferred_frames),
+                ("admission_overflow", deferral.dropped_frames),
+            ):
+                by_priority = Counter(queued.priority for queued in frames)
+                for priority, count in by_priority.items():
+                    self._count(name, count, priority=priority)
         self._pending_ticks.append(record)
-        depth = len(self._pending_ticks)
-        if depth > self.stats.max_inflight_depth:
-            self.stats.max_inflight_depth = depth
+        self._max_inflight_depth = max(
+            self._max_inflight_depth, len(self._pending_ticks)
+        )
 
     def _collect_one(self) -> list[StreamStepResult]:
         """The collect half: finish the oldest in-flight tick.
@@ -866,14 +998,18 @@ class ServingController:
         slo_burn = 0.0
         if self.slo is not None:
             verdicts = self.slo.observe(latency)
-            slo_breaches = sum(1 for v in verdicts if v.breached)
             slo_burn = max((v.burn_short for v in verdicts), default=0.0)
-            self.stats.slo_breaches += slo_breaches
-            self.stats.slo_alerts += sum(1 for v in verdicts if v.alerting)
+            for verdict in verdicts:
+                if verdict.breached:
+                    slo_breaches += 1
+                    self._count("slo_breaches", slo=verdict.slo)
+                if verdict.alerting:
+                    severity = verdict.severity
+                    self._count("slo_alerts", slo=verdict.slo, severity=severity)
 
-        self.stats.ticks += 1
-        self.stats.frames_submitted += record.submitted
-        self.stats.frames_admitted += len(record.batch)
+        self._count("ticks")
+        self._count("frames_submitted", record.submitted)
+        self._count("frames_admitted", len(record.batch))
         telemetry = TickTelemetry(
             tick=self.engine.tick,
             submitted=record.submitted,
@@ -902,10 +1038,9 @@ class ServingController:
         trace = (
             tracer.end_tick(self.engine.tick) if tracer is not None else None
         )
-        if self.metrics is not None:
-            # Published BEFORE on_tick so a callback (or a concurrent
-            # scrape it triggers) already sees this tick's counters.
-            self._publish_tick(telemetry, trace)
+        # Published BEFORE on_tick so a callback (or a concurrent scrape
+        # it triggers) already sees this tick's gauges and histograms.
+        self._publish_tick(telemetry, trace)
         if self.on_tick is not None:
             self.on_tick(telemetry)
         return results
@@ -1038,10 +1173,10 @@ class ServingController:
             self.engine.revive_shard(
                 shard, snapshot=part, statistics=part.statistics
             )
-            self.stats.shards_respawned += 1
+            self._count("shards_respawned")
             recovery.respawned += 1
             replayed = self.engine.replay_shard(shard, self._journal)
-            self.stats.replayed_ticks += replayed
+            self._count("replayed_ticks", replayed)
             recovery.replayed += replayed
         if kind == "step":
             return (self.engine.salvage_step(),)
@@ -1067,7 +1202,7 @@ class ServingController:
         recovery, by design -- the stall is real and telemetry reports it.
         """
         policy = self.failover
-        self.stats.failovers += 1
+        self._count("failovers")
         recovery.failovers += 1
         if recovery.failovers > 1 and policy.respawn_backoff > 0.0:
             # Linear backoff between consecutive attempts on the same
@@ -1083,7 +1218,7 @@ class ServingController:
                 salvaged = self._recover_shard_local(
                     sorted(dead), kind, recovery
                 )
-                self.stats.shard_recoveries += 1
+                self._count("shard_recoveries")
                 return salvaged
             for shard in sorted(dead):
                 # A shard index past the worker list names a worker that
@@ -1092,7 +1227,7 @@ class ServingController:
                 # spawn it.
                 if shard < self.engine.n_shards:
                     self.engine.revive_shard(shard)
-                    self.stats.shards_respawned += 1
+                    self._count("shards_respawned")
                     recovery.respawned += 1
             # Fallback: roll the WHOLE cluster back to the checkpoint
             # and replay the journaled batches: survivors that already
@@ -1106,12 +1241,12 @@ class ServingController:
             self.engine.restore(self._recovery_snapshot)
             for batch in self._journal:
                 self.engine.step_batch(batch)
-            self.stats.replayed_ticks += len(self._journal)
+            self._count("replayed_ticks", len(self._journal))
             recovery.replayed += len(self._journal)
             return None
         finally:
             seconds = time.perf_counter() - started
-            self.stats.recovery_seconds += seconds
+            self._count("recovery_seconds", seconds)
             recovery.seconds += seconds
             if self.tracer is not None:
                 # Self-measured span (see above re: clocks); lands in the
@@ -1181,7 +1316,7 @@ class ServingController:
                 "engine has no rebalance(); only a sharded engine can rescale"
             )
         summary = self._rebalance_engine(n_shards, _RecoveryLog())
-        self.stats.rebalances += 1
+        self._count("rebalances")
         return summary
 
     # ------------------------------------------------------------------
@@ -1207,7 +1342,7 @@ class ServingController:
             budget = dynamic if budget is None else min(budget, dynamic)
         if budget is not None and self._backpressure():
             budget = max(1, budget // 2)
-            self.stats.backpressure_throttles += 1
+            self._count("backpressure_throttles")
         return budget
 
     def _backpressure(self) -> bool:
@@ -1323,189 +1458,23 @@ class ServingController:
             outcome.enqueue(queued.frame.stream_id, queued)
         return admitted, outcome
 
-    def _note_deferred(self, queued: _QueuedFrame) -> None:
-        self.stats.frames_deferred += 1
-        by = self.stats.deferred_by_priority
-        by[queued.priority] = by.get(queued.priority, 0) + 1
-
-    def _note_dropped(self, queued: _QueuedFrame) -> None:
-        self.stats.admission_overflow += 1
-        by = self.stats.dropped_by_priority
-        by[queued.priority] = by.get(queued.priority, 0) + 1
-
     # ------------------------------------------------------------------
-    # Observability publication (metrics mirror ControllerStats)
+    # Observability: the registry is the store of every count
     # ------------------------------------------------------------------
     def _bind_metrics(self) -> None:
-        """Register this controller's metric families (get-or-create, so
-        several controllers may share one registry)."""
-        m = self.metrics
-        f = self._metric
-        f["ticks"] = m.counter(
-            "repro_controller_ticks_total", "Controlled ticks completed."
-        )
-        f["submitted"] = m.counter(
-            "repro_controller_frames_submitted_total",
-            "Frames handed to the controller.",
-        )
-        f["admitted"] = m.counter(
-            "repro_controller_frames_admitted_total",
-            "Frames the engine actually stepped.",
-        )
-        f["resumed"] = m.counter(
-            "repro_controller_frames_resumed_total",
-            "Admitted frames that came from deferral queues.",
-        )
-        f["deferred"] = m.counter(
-            "repro_controller_frames_deferred_total",
-            "Frames (re)queued by admission control, by priority class.",
-            labels=("priority",),
-        )
-        f["dropped"] = m.counter(
-            "repro_controller_frames_dropped_total",
-            "Frames lost to deferral-queue overflow, by priority class.",
-            labels=("priority",),
-        )
-        f["rebalances"] = m.counter(
-            "repro_controller_rebalances_total",
-            "Shard-count changes (autoscale decisions + manual rebalances).",
-        )
-        f["snapshots"] = m.counter(
-            "repro_controller_snapshots_total",
-            "Periodic snapshot writes the writer accepted (a failed write "
-            "is also counted in repro_snapshot_errors_total).",
-        )
-        f["snapshots_dropped"] = m.counter(
-            "repro_snapshot_dropped_total",
-            "Snapshot writes refused by the full background writer queue.",
-        )
-        f["snapshot_errors"] = m.counter(
-            "repro_snapshot_errors_total",
-            "Accepted snapshot writes that failed; each forces the next "
-            "cadence to commit a full base.",
-        )
-        f["snapshot_queue"] = m.gauge(
-            "repro_snapshot_queue_depth",
-            "Snapshot writes accepted but not yet on disk.",
-        )
-        f["snapshot_write"] = m.histogram(
-            "repro_snapshot_write_seconds",
-            "Wall time of serialization + disk I/O per snapshot write "
-            "on the writer thread.",
-        )
-        f["shard_recoveries"] = m.counter(
-            "repro_controller_shard_recoveries_total",
-            "Recoveries that restored/replayed only the dead shard(s).",
-        )
-        f["failovers"] = m.counter(
-            "repro_controller_failovers_total",
-            "Worker-failure recoveries performed.",
-        )
-        f["respawned"] = m.counter(
-            "repro_controller_shards_respawned_total",
-            "Dead shard workers respawned during recovery.",
-        )
-        f["replayed"] = m.counter(
-            "repro_controller_replayed_ticks_total",
-            "Journaled ticks replayed during recovery.",
-        )
-        f["recovery_total"] = m.counter(
-            "repro_controller_recovery_seconds_total",
-            "Wall time spent in failover recovery.",
-        )
-        f["fanout_ticks"] = m.counter(
-            "repro_fanout_ticks_total",
-            "Multi-shard fan-out ticks executed by the sharded engine.",
-        )
-        f["fanout_encode"] = m.counter(
-            "repro_fanout_encode_seconds_total",
-            "Parent CPU time (process_time) building, encoding and "
-            "sending fan-out requests.",
-        )
-        f["fanout_overlap"] = m.counter(
-            "repro_fanout_overlap_seconds_total",
-            "Parent CPU time (process_time) of fan-out sends made while "
-            "an earlier shard was already computing.",
-        )
-        f["pool_hits"] = m.counter(
-            "repro_codec_pool_hits_total",
-            "Frame sends served from a recycled buffer-pool buffer.",
-        )
-        f["pool_misses"] = m.counter(
-            "repro_codec_pool_misses_total",
-            "Frame sends that had to allocate a fresh pool buffer.",
-        )
-        f["pool_bytes"] = m.counter(
-            "repro_codec_pool_bytes_copied_total",
-            "Payload bytes scatter-copied through the send-side codec "
-            "(the pooled encoder's single copy per segment).",
-        )
-        f["backpressure"] = m.counter(
-            "repro_cluster_backpressure_throttles_total",
-            "Admission frame-budget halvings forced by a saturated, "
-            "behind-schedule in-flight window.",
-        )
-        f["inflight_depth"] = m.gauge(
-            "repro_cluster_inflight_depth",
-            "Submitted-but-uncollected ticks still in the window after "
-            "the last collected tick.",
-        )
-        f["backlog"] = m.gauge(
-            "repro_controller_backlog_frames",
-            "Deferred frames currently queued across all streams.",
-        )
-        f["shards"] = m.gauge(
-            "repro_controller_shards", "Current shard count."
-        )
-        f["ewma"] = m.gauge(
-            "repro_controller_latency_ewma_seconds",
-            "Controller-level EWMA of tick latency (wall time).",
-        )
-        window = m.gauge(
-            "repro_controller_telemetry_window_ticks",
-            "Per-tick telemetry records the controller retains.",
-        )
-        window.set(self.telemetry_window)
-        f["latency"] = m.histogram(
-            "repro_tick_latency_seconds",
-            "Measured submit-to-results wall time per controlled tick.",
-        )
-        f["phase"] = m.histogram(
-            "repro_tick_phase_seconds",
-            "Traced wall time of each tick phase.",
-            labels=("phase",),
-        )
-        f["recovery_hist"] = m.histogram(
-            "repro_recovery_seconds",
-            "Failover recovery wall time, per tick that recovered.",
-        )
-        f["worker_phase"] = m.counter(
-            "repro_cluster_worker_phase_seconds_total",
-            "Worker-side wall time per pipeline phase, per shard "
-            "(piggybacked telemetry; traced ticks only).",
-            labels=("shard", "phase"),
-        )
-        if self.slo is not None:
-            f["slo_burn"] = m.gauge(
-                "repro_slo_burn_rate",
-                "Error-budget burn rate per objective and window.",
-                labels=("slo", "window"),
-            )
-            f["slo_breaches"] = m.counter(
-                "repro_slo_breaches_total",
-                "Ticks whose latency breached the objective's budget.",
-                labels=("slo",),
-            )
-            f["slo_alerts"] = m.counter(
-                "repro_slo_alerts_total",
-                "Multi-window burn-rate alerts raised, by severity.",
-                labels=("slo", "severity"),
-            )
+        """Register :data:`_FAMILIES` (the SLO ones only with an SLO
+        tracker).  The tick counter exists from the start, so a scrape
+        before the first tick reads ``repro_controller_ticks_total 0``."""
+        for key, kind, name, help_text, *labels in _FAMILIES:
+            if self.slo is not None or not key.startswith("slo_"):
+                register = getattr(self.metrics, kind)
+                self._metric[key] = register(name, help_text, labels=labels)
+        self._metric["ticks"].labels()
+        self._metric["window"].set(self.telemetry_window)
 
     def _advance(self, key, value, counter, **labels) -> None:
-        """Publish a cumulative stat as a counter delta.  Counters only
-        move forward; a restored (rolled-back) stats object simply stops
-        publishing until it passes the high-water mark again."""
+        """Publish one of the engine's cumulative ``fanout_stats()``
+        counters as a delta against its last published value."""
         previous = self._published.get(key, 0)
         if value > previous:
             series = counter.labels(**labels) if labels else counter
@@ -1513,56 +1482,16 @@ class ServingController:
             self._published[key] = value
 
     def _publish_tick(self, record: TickTelemetry, trace) -> None:
-        """Mirror this tick into the metrics registry.
-
-        Cumulative families are published as deltas of the very same
-        :class:`ControllerStats` fields a caller reads, so a scrape and
-        ``stats.as_dict()`` can never disagree about totals.
-        """
+        """Publish this tick's gauges and histograms, and advance the
+        counters the engine keeps itself (``fanout_stats()``).  The
+        controller's own counters were counted where they happened."""
         f = self._metric
-        stats = self.stats
-        self._advance("ticks", stats.ticks, f["ticks"])
-        self._advance("frames_submitted", stats.frames_submitted, f["submitted"])
-        self._advance("frames_admitted", stats.frames_admitted, f["admitted"])
-        self._advance("frames_resumed", stats.frames_resumed, f["resumed"])
-        self._advance("rebalances", stats.rebalances, f["rebalances"])
-        self._advance("snapshots", stats.snapshots_written, f["snapshots"])
-        self._advance(
-            "snapshots_dropped",
-            stats.snapshots_dropped,
-            f["snapshots_dropped"],
-        )
-        self._advance(
-            "snapshot_errors", stats.snapshot_errors, f["snapshot_errors"]
-        )
-        self._advance(
-            "shard_recoveries",
-            stats.shard_recoveries,
-            f["shard_recoveries"],
-        )
         writer = self._snapshot_writer
         if writer is not None:
             f["snapshot_queue"].set(writer.queue_depth)
             for seconds in writer.drain_timings():
                 f["snapshot_write"].observe(seconds)
-        self._advance("failovers", stats.failovers, f["failovers"])
-        self._advance("respawned", stats.shards_respawned, f["respawned"])
-        self._advance("replayed", stats.replayed_ticks, f["replayed"])
-        self._advance(
-            "recovery_seconds", stats.recovery_seconds, f["recovery_total"]
-        )
-        self._advance(
-            "backpressure", stats.backpressure_throttles, f["backpressure"]
-        )
         f["inflight_depth"].set(record.inflight_depth)
-        for priority, count in stats.deferred_by_priority.items():
-            self._advance(
-                ("deferred", priority), count, f["deferred"], priority=priority
-            )
-        for priority, count in stats.dropped_by_priority.items():
-            self._advance(
-                ("dropped", priority), count, f["dropped"], priority=priority
-            )
         fanout_stats = getattr(self.engine, "fanout_stats", None)
         if fanout_stats is not None:
             fanout = fanout_stats()
@@ -1601,22 +1530,6 @@ class ServingController:
                 slo_burn.labels(slo=objective.name, window="long").set(
                     rates["long"]
                 )
-                self._advance(
-                    ("slo_breaches", objective.name),
-                    self.slo.breaches(objective.name),
-                    f["slo_breaches"],
-                    slo=objective.name,
-                )
-                for severity, count in self.slo.alerts(
-                    objective.name
-                ).items():
-                    self._advance(
-                        ("slo_alerts", objective.name, severity),
-                        count,
-                        f["slo_alerts"],
-                        slo=objective.name,
-                        severity=severity,
-                    )
         f["backlog"].set(record.backlog)
         f["shards"].set(record.n_shards)
         f["ewma"].set(record.latency_ewma)
@@ -1663,7 +1576,7 @@ class ServingController:
         if target is None:
             return None
         self._rebalance_engine(target, recovery)
-        self.stats.rebalances += 1
+        self._count("rebalances")
         self._miss_streak = 0
         self._idle_streak = 0
         self._cooldown = policy.cooldown_ticks
@@ -1844,7 +1757,7 @@ class ServingController:
                 )
 
     def _record_written(self, label: str) -> None:
-        self.stats.snapshots_written += 1
+        self._count("snapshots_written")
         self.snapshots_written.append(label)
 
     def _count_write_errors(self) -> int:
@@ -1857,7 +1770,7 @@ class ServingController:
             - self.stats.snapshot_errors
         )
         if new:
-            self.stats.snapshot_errors += new
+            self._count("snapshot_errors", new)
             self._delta_epoch = None
         return new
 
@@ -1894,7 +1807,7 @@ class ServingController:
             label, commit = str(store.delta_stem(tick)), store.commit_delta
             chain_length = self._deltas_since_base + 1
         if not writer.submit(label, lambda: commit(payload)):
-            self.stats.snapshots_dropped += 1
+            self._count("snapshots_dropped")
             return
         self._record_written(label)
         self._delta_epoch = tick

@@ -15,8 +15,8 @@ Three seams, one package:
   trace-event/Perfetto export) and the SLO/error-budget engine
   (:class:`SLOTracker`, multi-window burn-rate alerts).
 
-Everything here is opt-in: a controller or cluster without a registry,
-tracer, or recorder attached runs the exact pre-observability code path.
+Tracing and recording are opt-in.  A controller always counts into a
+metrics registry (the caller's or a private one), its only counter store.
 """
 
 from repro.serving.observability.distributed import (

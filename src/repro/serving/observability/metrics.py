@@ -12,9 +12,9 @@ process -- no client library, no third-party dependency.
 
 Design constraints, in order:
 
-* **Zero cost when absent.**  Nothing in the serving stack imports this
-  module unless a registry was explicitly attached; a controller without
-  ``metrics=`` performs no registry operation at all.
+* **The store of record.**  A ``ServingController`` counts into its
+  registry (a private one without ``metrics=``) and reads ``stats`` back
+  from it (:meth:`Counter.values`), so a registry backs one controller.
 * **Get-or-create registration.**  ``registry.counter(name, ...)``
   returns the existing family when one with the same type/labels is
   already registered (a long-lived ``serve-worker`` builds one servicer
@@ -225,6 +225,12 @@ class Counter(_Family):
     @property
     def value(self) -> float:
         return self._unlabeled().value
+
+    def values(self) -> dict:
+        """Each series' value by label values (``()`` when unlabeled), in
+        creation order; reading creates no series."""
+        with self._lock:
+            return {key: series.value for key, series in self._series.items()}
 
     def _render_into(self, lines) -> None:
         for key, series in self._sorted_series():

@@ -346,18 +346,21 @@ class TestDeltaSnapshots:
 # ----------------------------------------------------------------------
 class TestSnapshotWriter:
     def test_full_queue_drops_loudly_and_close_drains(self):
-        import time
-
+        started = threading.Event()
         gate = threading.Event()
         done = []
+
+        def job_a():
+            started.set()
+            gate.wait()  # the finally below always opens the gate
+            done.append("a")
+
         writer = SnapshotWriter(capacity=1)
         try:
-            assert writer.submit("a", lambda: (gate.wait(5.0), done.append("a")))
-            # Wait until "a" is off the queue (executing, blocked on the
-            # gate), then fill the single slot and overflow it.
-            deadline = time.monotonic() + 5.0
-            while writer.queue_depth and time.monotonic() < deadline:
-                time.sleep(0.001)
+            assert writer.submit("a", job_a)
+            # Once "a" runs it is off the queue (blocked on the gate);
+            # then fill the single slot and overflow it.
+            assert started.wait(30.0), "the writer never started job a"
             assert writer.submit("b", lambda: done.append("b"))
             assert not writer.submit("c", lambda: done.append("c"))
             assert writer.stats()["dropped"] == 1

@@ -15,7 +15,9 @@ Three layers of guarantees:
   failover on the pipe transport.
 """
 
+import itertools
 import urllib.request
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,12 +26,15 @@ from chaos import ChaosFault, ChaosTransport
 from repro.core.monitor import UncertaintyMonitor
 from repro.exceptions import ValidationError
 from repro.serving import (
+    SLO,
     AdmissionPolicy,
+    ControllerStats,
     FailoverPolicy,
     MetricsRegistry,
     MetricsServer,
     ServingController,
     ShardedEngine,
+    SLOTracker,
     StreamFrame,
     StreamingEngine,
     TickTracer,
@@ -82,6 +87,29 @@ def counter_value(families, name, **labels):
     return families[name]["samples"][key]
 
 
+#: Every counter field of ControllerStats and the family it is read from.
+COUNTER_FAMILIES = {
+    "ticks": "repro_controller_ticks_total",
+    "frames_submitted": "repro_controller_frames_submitted_total",
+    "frames_admitted": "repro_controller_frames_admitted_total",
+    "frames_resumed": "repro_controller_frames_resumed_total",
+    "frames_deferred": "repro_controller_frames_deferred_total",
+    "admission_overflow": "repro_controller_frames_dropped_total",
+    "rebalances": "repro_controller_rebalances_total",
+    "snapshots_written": "repro_controller_snapshots_total",
+    "snapshots_dropped": "repro_snapshot_dropped_total",
+    "snapshot_errors": "repro_snapshot_errors_total",
+    "failovers": "repro_controller_failovers_total",
+    "shard_recoveries": "repro_controller_shard_recoveries_total",
+    "shards_respawned": "repro_controller_shards_respawned_total",
+    "replayed_ticks": "repro_controller_replayed_ticks_total",
+    "recovery_seconds": "repro_controller_recovery_seconds_total",
+    "slo_breaches": "repro_slo_breaches_total",
+    "slo_alerts": "repro_slo_alerts_total",
+    "backpressure_throttles": "repro_cluster_backpressure_throttles_total",
+}
+
+
 # ---------------------------------------------------------------------------
 # Registry semantics
 # ---------------------------------------------------------------------------
@@ -95,6 +123,19 @@ class TestRegistry:
         a.inc()
         b.inc(2)
         assert a.value == 3
+
+    def test_reading_a_counter_creates_no_series(self):
+        registry = MetricsRegistry()
+        plain = registry.counter("plain_total", "unlabeled")
+        by_class = registry.counter("by_class_total", "labeled", labels=("c",))
+        assert plain.values() == {} and by_class.values() == {}
+        families = parse_prometheus(registry.render_prometheus())
+        assert families["plain_total"]["samples"] == {}
+        plain.inc(2)
+        by_class.labels(c="b").inc()
+        by_class.labels(c="a").inc(3)
+        assert plain.values() == {(): 2.0}
+        assert by_class.values() == {("b",): 1.0, ("a",): 3.0}
 
     def test_signature_conflict_is_loud(self):
         registry = MetricsRegistry()
@@ -381,6 +422,107 @@ class TestControllerMetrics:
             assert phase_counts.get(phase) == stats.ticks, phase
         assert phase_counts.get("await_window") == 2 * stats.ticks
 
+    def run_counted(self, synthetic_stack, series_maker, engine, tmp_path,
+                    registry):
+        """A run that drops frames at admission, writes bg snapshots
+        and breaches an SLO on every tick (scripted 10 ms latency)."""
+        rng = np.random.default_rng(904)
+        n_streams, length = 8, 8
+        series = series_maker(rng, n_series=n_streams, length=length)
+        ids = [f"s{sid}" for sid in range(n_streams)]
+        priorities = [sid % 3 for sid in range(n_streams)]
+        factory = make_factory(synthetic_stack, **monitored_kwargs())
+        steps = itertools.count()
+        controller = ServingController(
+            factory() if engine == "single"
+            else ShardedEngine(factory, 2, transport=engine),
+            admission=AdmissionPolicy(
+                max_frames_per_tick=3, max_deferred_per_stream=1
+            ),
+            snapshot_every=2,
+            snapshot_dir=tmp_path / f"store-{registry is not None}",
+            snapshot_mode="bg",
+            snapshot_deltas=1,
+            owns_engine=True,
+            clock=lambda: next(steps) * 0.01,
+            slo=SLOTracker(
+                [SLO("p99", 0.005, target=0.9, short_window=2, long_window=4)]
+            ),
+            metrics=registry,
+        )
+        with controller:
+            for t in range(length):
+                controller.tick(tick_frames(series, ids, t, priorities))
+        return controller.stats
+
+    @pytest.mark.parametrize("engine", ["single", "inproc"])
+    def test_every_counter_field_is_its_scraped_family(
+        self, synthetic_stack, series_maker, engine, tmp_path
+    ):
+        registry = MetricsRegistry()
+        stats = self.run_counted(
+            synthetic_stack, series_maker, engine, tmp_path, registry
+        )
+        families = parse_prometheus(registry.render_prometheus())
+        plain = {"telemetry_window", "max_inflight_depth"}
+        by_priority = {"deferred_by_priority", "dropped_by_priority"}
+        assert set(COUNTER_FAMILIES) == {
+            f.name for f in fields(ControllerStats)
+        } - plain - by_priority
+        for field, name in COUNTER_FAMILIES.items():
+            family = families.get(name, {"samples": {}})
+            scraped = sum(family["samples"].values())
+            assert scraped == pytest.approx(getattr(stats, field)), field
+        for field, name in (
+            ("deferred_by_priority", "repro_controller_frames_deferred_total"),
+            ("dropped_by_priority", "repro_controller_frames_dropped_total"),
+        ):
+            assert getattr(stats, field) == {
+                int(dict(labels)["priority"]): value
+                for (_, labels), value in families[name]["samples"].items()
+            }, field
+        # The run exercised what it was built to exercise.
+        assert stats.admission_overflow > 0
+        assert len(stats.dropped_by_priority) > 1
+        assert stats.snapshots_written > 0
+        assert stats.slo_breaches == stats.ticks == 8
+        assert stats.slo_alerts > 0
+
+        # Without metrics= the controller counts into its own registry
+        # and reports exactly the same stats.
+        alone = self.run_counted(
+            synthetic_stack, series_maker, engine, tmp_path, None
+        )
+        assert alone.as_dict() == stats.as_dict()
+        for field, value in alone.as_dict().items():
+            expected = float if field == "recovery_seconds" else (
+                dict if field in by_priority else int
+            )
+            assert type(value) is expected, field
+        for field in by_priority:
+            counts = getattr(alone, field)
+            assert all(type(key) is int for key in counts), field
+            assert all(type(value) is int for value in counts.values())
+
+    def test_scrape_before_the_first_tick_reads_zero_ticks(
+        self, synthetic_stack
+    ):
+        registry = MetricsRegistry()
+        factory = make_factory(synthetic_stack, **monitored_kwargs())
+        with ServingController(factory(), metrics=registry) as controller:
+            families = parse_prometheus(registry.render_prometheus())
+            assert counter_value(families, "repro_controller_ticks_total") == 0
+            assert controller.stats.ticks == 0
+
+    def test_a_registry_backs_one_controller(self, synthetic_stack):
+        registry = MetricsRegistry()
+        factory = make_factory(synthetic_stack, **monitored_kwargs())
+        with ServingController(factory(), metrics=registry) as first:
+            first.tick([])
+            with pytest.raises(ValidationError, match="own MetricsRegistry"):
+                ServingController(factory(), metrics=registry)
+            assert first.stats.ticks == 1
+
     def test_duration_help_names_its_clock(
         self, synthetic_stack, series_maker
     ):
@@ -514,6 +656,87 @@ class TestControllerMetrics:
         # Mid-run scrape: publication runs before on_tick, so tick 3's
         # counters (3 completed ticks) are already visible.
         assert counter_value(families, "repro_controller_ticks_total") == 3
+
+
+# ---------------------------------------------------------------------------
+# Live scrape of a serving process
+# ---------------------------------------------------------------------------
+
+class TestLiveScrape:
+    @pytest.mark.slow
+    def test_mid_run_scrape_of_a_two_shard_pipe_cluster(self, tmp_path):
+        # Scrape a serve-cluster run on an ephemeral metrics port while
+        # it serves.  The endpoint is up before the controller binds its
+        # families, and a scrape can land between a tick's counts and
+        # its gauges: a refused connection, a missing family and a
+        # missing sample all mean "scrape again".
+        import os
+        import pathlib
+        import re
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        log = tmp_path / "serve.log"
+        with open(log, "w") as out:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve-cluster", "--smoke",
+                    "--streams", "32", "--ticks", "200", "--shards", "2",
+                    "--threshold", "0.5", "--metrics-port", "0",
+                    "--telemetry-window", "64",
+                ],
+                env=env,
+                stdout=out,
+                stderr=subprocess.STDOUT,
+                start_new_session=True,  # one process group: parent + workers
+            )
+
+        def sample(families, name):
+            family = families.get(name)
+            return family["samples"].get((name, ())) if family else None
+
+        try:
+            deadline = time.monotonic() + 300.0
+            url = None
+            while url is None:
+                found = re.search(r"serving metrics at (\S+)", log.read_text())
+                if found:
+                    url = found.group(1)
+                    break
+                assert proc.poll() is None, log.read_text()
+                assert time.monotonic() < deadline, "no metrics endpoint"
+                time.sleep(0.02)
+            while True:
+                assert proc.poll() is None, "never scraped a mid-run tick"
+                assert time.monotonic() < deadline, "never scraped a tick"
+                try:
+                    with urllib.request.urlopen(url, timeout=2) as response:
+                        families = parse_prometheus(response.read().decode())
+                except OSError:
+                    time.sleep(0.02)
+                    continue
+                ticks = sample(families, "repro_controller_ticks_total")
+                shards = sample(families, "repro_controller_shards")
+                if ticks and shards is not None:
+                    break
+                time.sleep(0.02)
+            assert shards == 2, f"expected 2 shards, scraped {shards}"
+            assert "repro_tick_latency_seconds" in families
+            assert proc.wait(timeout=300) == 0, log.read_text()
+        finally:
+            if proc.poll() is None:
+                # Orphaned pipe workers would outlive the test otherwise.
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
 
 
 # ---------------------------------------------------------------------------
