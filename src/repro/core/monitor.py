@@ -220,20 +220,20 @@ class UncertaintyMonitor:
         return monitor
 
 
-_ACCEPT = MonitorDecision.ACCEPT
-_FALLBACK = MonitorDecision.FALLBACK
-
-
 def judge_many(
     monitors: Sequence[UncertaintyMonitor], uncertainties
-) -> list[MonitorVerdict]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Judge one uncertainty per monitor, vectorized across monitors.
 
-    Exactly equivalent to ``[m.judge(u) for m, u in zip(monitors, us)]``
-    (same verdicts, same statistics and hysteresis transitions), but the
-    threshold/budget arithmetic runs as numpy array operations -- the
-    difference between the monitor stage dominating and disappearing at
-    10k+ concurrent streams.
+    Makes exactly the state updates of ``[m.judge(u) for m, u in
+    zip(monitors, us)]`` (same statistics and hysteresis transitions),
+    but the threshold/budget arithmetic runs as numpy array operations --
+    the difference between the monitor stage dominating and disappearing
+    at 10k+ concurrent streams.  The verdicts come back as columns, one
+    entry per monitor: ``(accepted, threshold, in_hysteresis)`` -- the
+    decision, the threshold in force and the hysteresis latch *before*
+    the step; row ``i`` with ``uncertainties[i]`` is the
+    :class:`MonitorVerdict` that ``judge`` would return.
 
     The monitors must be distinct objects (enforced): judging the same
     monitor twice within one call would miss the sequential interaction
@@ -249,8 +249,6 @@ def judge_many(
         raise ValidationError(
             f"got {u.size} uncertainties for {n} monitors"
         )
-    if n == 0:
-        return []
     if len({id(m) for m in monitors}) != n:
         raise ValidationError(
             "judge_many requires distinct monitor objects; a shared monitor "
@@ -281,16 +279,8 @@ def judge_many(
     accept = (u <= used) & ~exhausted
     hyst_next = np.where(accept, False, reentries < thresholds)
 
-    verdicts = []
-    rows = zip(
-        monitors,
-        u.tolist(),
-        used.tolist(),
-        accept.tolist(),
-        in_hyst.tolist(),
-        hyst_next.tolist(),
-    )
-    for monitor, u_i, threshold_i, accept_i, hyst_i, hyst_next_i in rows:
+    rows = zip(monitors, u.tolist(), accept.tolist(), hyst_next.tolist())
+    for monitor, u_i, accept_i, hyst_next_i in rows:
         stats = monitor.statistics
         stats.steps += 1
         if accept_i:
@@ -299,12 +289,4 @@ def judge_many(
         else:
             stats.fallbacks += 1
         monitor._in_hysteresis = hyst_next_i
-        verdicts.append(
-            MonitorVerdict(
-                decision=_ACCEPT if accept_i else _FALLBACK,
-                uncertainty=u_i,
-                threshold=threshold_i,
-                in_hysteresis=hyst_i,
-            )
-        )
-    return verdicts
+    return accept, used, in_hyst

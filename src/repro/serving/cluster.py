@@ -15,11 +15,12 @@ of a three-layer stack:
   processes on other machines;
 * this module -- :func:`stable_stream_hash` / :class:`HashRing`
   consistent-hash placement, and :class:`ShardedEngine`, the cluster
-  front end: a tick's frames fan out to their shards as stacked numpy
-  payloads, the workers step concurrently, and the replies -- struct-of-
-  arrays, again numpy -- merge back in input order.  Because every stream
-  lives on exactly one shard and each shard runs the very same
-  ``step_batch``, the merged results are bitwise-identical to a single
+  front end: a tick's frames fan out to their shards as numpy columns,
+  the workers step them concurrently and reply in columns, and one
+  assembler plus a scatter merges the replies back in input order.
+  Because every stream lives on exactly one shard and each shard runs
+  the same columnar core as ``step_batch``, the merged results are
+  bitwise-identical to a single
   :class:`StreamingEngine` fed the same frames, on every transport.
 
 Fan-out is *overlapped*: each shard's payload is encoded and sent before
@@ -61,13 +62,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.monitor import MonitorDecision, MonitorVerdict
-from repro.core.timeseries_wrapper import TimeseriesWrappedOutcome
 from repro.exceptions import ClusterError, ClusterWorkerError, ValidationError
 from repro.serving.engine import (
     StreamFrame,
     StreamingEngine,
     StreamStepResult,
+    results_from_columns,
     validate_tick_frames,
 )
 from repro.serving.protocol import require_wire_id, sanitize_wire_scope
@@ -84,7 +84,6 @@ __all__ = [
     "stable_stream_hash",
     "HashRing",
     "ShardedEngine",
-    "encode_step_results",
 ]
 
 
@@ -189,54 +188,6 @@ class HashRing:
 
 
 # ---------------------------------------------------------------------------
-# Step-result wire shape (struct-of-arrays, shared by every transport)
-# ---------------------------------------------------------------------------
-
-def encode_step_results(results: list[StreamStepResult]) -> dict:
-    """Struct-of-arrays encoding of a shard's tick results.
-
-    The worker-side half of the merge contract: plain numpy arrays (never
-    JSON floats), so the parent's decoded results are bitwise-identical
-    to the worker's on any transport.
-    """
-    n = len(results)
-    encoded = {
-        "fused": np.fromiter(
-            (r.outcome.fused_outcome for r in results), np.int64, n
-        ),
-        "fused_u": np.fromiter(
-            (r.outcome.fused_uncertainty for r in results), float, n
-        ),
-        "isolated": np.fromiter(
-            (r.outcome.isolated_outcome for r in results), np.int64, n
-        ),
-        "isolated_u": np.fromiter(
-            (r.outcome.isolated_uncertainty for r in results), float, n
-        ),
-        "timestep": np.fromiter((r.outcome.timestep for r in results), np.int64, n),
-        "scope_u": np.fromiter(
-            (r.outcome.scope_incompliance for r in results), float, n
-        ),
-    }
-    if any(r.verdict is not None for r in results):
-        verdicts = [r.verdict for r in results]
-        encoded["v_mask"] = np.fromiter((v is not None for v in verdicts), bool, n)
-        encoded["v_accepted"] = np.fromiter(
-            (v is not None and v.accepted for v in verdicts), bool, n
-        )
-        encoded["v_u"] = np.fromiter(
-            (v.uncertainty if v is not None else 0.0 for v in verdicts), float, n
-        )
-        encoded["v_threshold"] = np.fromiter(
-            (v.threshold if v is not None else 0.0 for v in verdicts), float, n
-        )
-        encoded["v_hysteresis"] = np.fromiter(
-            (v is not None and v.in_hysteresis for v in verdicts), bool, n
-        )
-    return encoded
-
-
-# ---------------------------------------------------------------------------
 # The cluster front end
 # ---------------------------------------------------------------------------
 
@@ -248,6 +199,12 @@ _PLACEMENT_CACHE_LIMIT = 1 << 20
 
 class ShardedEngine:
     """Multi-worker serving cluster with the single-engine interface.
+
+    Every topology, 1-shard in-proc included, runs one tick path: the
+    parent validates and stacks the frames once, each worker runs
+    :meth:`~repro.serving.engine.StreamingEngine.step_columns` on its
+    columns, and :func:`~repro.serving.engine.results_from_columns`
+    builds the results from the replies, scattered into input order.
 
     Parameters
     ----------
@@ -660,16 +617,6 @@ class ShardedEngine:
             self._shard_cache[stream_id] = shard
         return shard
 
-    def _single_inproc_engine(self):
-        """The worker engine when exactly one in-proc shard is serving.
-
-        Recomputed per tick (rebalance changes the worker list); any
-        other topology returns None and takes the fan-out path.
-        """
-        if len(self._workers) != 1:
-            return None
-        return getattr(self._workers[0], "engine", None)
-
     def fanout_stats(self) -> dict:
         """Cumulative fan-out timing since construction.
 
@@ -847,13 +794,9 @@ class ShardedEngine:
         cluster-wide) and :meth:`collect_batch` merges the replies back
         in input order -- the same code, spans and tick-tagged wire
         frames as a windowed run.  Requires a drained window, since it
-        returns *this* tick's results.
-
-        A 1-shard in-proc cluster takes the fast path: frames delegate
-        straight to the worker engine with no payload packing or result
-        re-assembly -- the full single-process throughput behind the
-        cluster interface (errors then surface exactly as the single
-        engine raises them, without the ``[shard N]`` diagnostic prefix).
+        returns *this* tick's results.  Every topology takes this one
+        path, a 1-shard in-proc cluster included: worker errors surface
+        with the ``[shard N]`` diagnostic prefix.
         """
         self._require_drained()
         self.submit_batch(frames)
@@ -886,16 +829,7 @@ class ShardedEngine:
         frames = list(frames)
         tick = self._tick + len(self._inflight) + 1
         submitted_at = time.monotonic()
-        engine = self._single_inproc_engine()
-        if engine is not None:
-            # Single in-proc shard: nothing to overlap with -- the
-            # "worker" computes on this thread either way.  Step now;
-            # the results wait in the window for collection.
-            record = {
-                "tick": tick, "pending": (), "results": engine.step_batch(frames)
-            }
-        else:
-            record = self._fanout(frames, tick)
+        record = self._fanout(frames, tick)
         record["submitted_at"] = submitted_at
         self._inflight.append(record)
         if len(self._inflight) > self._inflight_max_depth:
@@ -921,11 +855,7 @@ class ShardedEngine:
         self._require_open()
         if not self._inflight:
             raise ClusterError("collect_batch() with no tick in flight")
-        record = self._inflight.popleft()
-        if "results" in record:
-            self._tick += 1
-            return record["results"]
-        return self._complete(record)
+        return self._complete(self._inflight.popleft())
 
     def _plan(self, frames: list[StreamFrame]) -> dict:
         """Validate, place and stack one tick's frames (no I/O).
@@ -942,24 +872,21 @@ class ShardedEngine:
             n_stateless=self._engine_shape["n_stateless"],
             has_scope_model=self._engine_shape["has_scope_model"],
         )
+        ids = [frame.stream_id for frame in frames]
+        scope = [frame.scope_factors for frame in frames]
         if self.transport.requires_wire_ids:
             # Payloads that cannot cross the codec (exotic ids, non-JSON
             # scope values) must not half-execute a tick either.
             # Numpy-scalar scope values are unwrapped to exact Python
             # equivalents.
-            for frame in frames:
-                require_wire_id(frame.stream_id)
-            scope = [
-                sanitize_wire_scope(frame.scope_factors, frame.stream_id)
-                for frame in frames
-            ]
-        else:
-            scope = [frame.scope_factors for frame in frames]
+            for stream_id in ids:
+                require_wire_id(stream_id)
+            scope = list(map(sanitize_wire_scope, scope, ids))
         per_shard: list[list[int]] = [[] for _ in self._workers]
-        for index, frame in enumerate(frames):
-            per_shard[self.shard_for(frame.stream_id)].append(index)
+        for index, stream_id in enumerate(ids):
+            per_shard[self.shard_for(stream_id)].append(index)
         return {
-            "frames": frames,
+            "ids": ids,
             "X": X,
             "Q": Q,
             "new_series": np.fromiter(
@@ -979,11 +906,10 @@ class ShardedEngine:
         indices = plan["per_shard"][shard]
         if not indices:
             return None
-        frames = plan["frames"]
         scope = [plan["scope"][i] for i in indices]
         idx = np.asarray(indices, dtype=np.intp)
         return {
-            "ids": [frames[i].stream_id for i in indices],
+            "ids": [plan["ids"][i] for i in indices],
             "X": plan["X"][idx],
             "Q": plan["Q"][idx],
             "new_series": plan["new_series"][idx],
@@ -992,7 +918,7 @@ class ShardedEngine:
 
     def _fanout(self, frames: list[StreamFrame], tick: int) -> dict:
         """Validate, place, stack and send one tick; return its in-flight
-        record (frames, placement, the shards still owing a reply)."""
+        record (the plan, the shards still owing a reply)."""
         tracer = self.tracer
         span = tracer.span if tracer is not None else _null_span
         with span("fanout", frames=len(frames), shards=self.n_shards):
@@ -1005,18 +931,17 @@ class ShardedEngine:
             order += [s for s, indices in enumerate(per_shard) if not indices]
             record = {
                 "tick": tick,
-                "frames": frames,
-                "per_shard": per_shard,
+                "plan": plan,
                 "pending": order,
                 "replies": {},
                 "rpc": {} if tracer is not None else None,
             }
-            self._send_step(record, plan)
+            self._send_step(record)
             if frames:
                 self._fanout_ticks += 1
         return record
 
-    def _send_step(self, record: dict, plan: dict) -> None:
+    def _send_step(self, record: dict) -> None:
         """Overlapped sends of ``record["pending"]``'s step requests.
 
         Each shard's payload is encoded and on the wire before the next
@@ -1032,7 +957,7 @@ class ShardedEngine:
             for shard in record["pending"]:
                 worker = self._workers[shard]
                 p_start = time.process_time()
-                payload = self._payload(plan, shard)
+                payload = self._payload(record["plan"], shard)
                 worker.tick_tag = tick
                 if rpc is not None:
                     # Sampled tick: the request carries a trace context
@@ -1125,14 +1050,9 @@ class ShardedEngine:
                 self._salvage = record
             raise_worker_error(*failure)
 
-        frames = record["frames"]
-        with span("merge_ready", tick=tick, frames=len(frames)):
-            results: list[StreamStepResult | None] = [None] * len(frames)
-            for shard, indices in enumerate(record["per_shard"]):
-                if indices:
-                    self._merge_shard_results(
-                        frames, indices, record["replies"][shard], results
-                    )
+        plan = record["plan"]
+        with span("merge_ready", tick=tick, frames=len(plan["ids"])):
+            results = self._merge_shard_results(plan, record["replies"])
         self._tick += 1
         return results
 
@@ -1174,51 +1094,26 @@ class ShardedEngine:
         if record["rpc"] is not None:
             record["rpc"] = {}
         try:
-            self._send_step(record, self._plan(record["frames"]))
+            self._send_step(record)
         except ClusterWorkerError:
             self._salvage = record
             raise
         return self._complete(record)
+
     @staticmethod
-    def _merge_shard_results(frames, indices, encoded, results) -> None:
-        """Decode one shard's struct-of-arrays reply into the result list."""
-        fused = encoded["fused"].tolist()
-        fused_u = encoded["fused_u"].tolist()
-        isolated = encoded["isolated"].tolist()
-        isolated_u = encoded["isolated_u"].tolist()
-        timestep = encoded["timestep"].tolist()
-        scope_u = encoded["scope_u"].tolist()
-        v_mask = encoded["v_mask"].tolist() if "v_mask" in encoded else None
-        if v_mask is not None:
-            v_accepted = encoded["v_accepted"].tolist()
-            v_u = encoded["v_u"].tolist()
-            v_threshold = encoded["v_threshold"].tolist()
-            v_hysteresis = encoded["v_hysteresis"].tolist()
-        for j, i in enumerate(indices):
-            verdict = None
-            if v_mask is not None and v_mask[j]:
-                verdict = MonitorVerdict(
-                    decision=(
-                        MonitorDecision.ACCEPT
-                        if v_accepted[j]
-                        else MonitorDecision.FALLBACK
-                    ),
-                    uncertainty=v_u[j],
-                    threshold=v_threshold[j],
-                    in_hysteresis=v_hysteresis[j],
-                )
-            results[i] = StreamStepResult(
-                stream_id=frames[i].stream_id,
-                outcome=TimeseriesWrappedOutcome(
-                    fused_outcome=fused[j],
-                    fused_uncertainty=fused_u[j],
-                    isolated_outcome=isolated[j],
-                    isolated_uncertainty=isolated_u[j],
-                    timestep=timestep[j],
-                    scope_incompliance=scope_u[j],
-                ),
-                verdict=verdict,
-            )
+    def _merge_shard_results(plan: dict, replies: dict) -> list[StreamStepResult]:
+        """Assemble each shard's reply columns with the engine's one
+        assembler, then scatter the results back into input order."""
+        ids = plan["ids"]
+        results: list = [None] * len(ids)
+        for shard, indices in enumerate(plan["per_shard"]):
+            if indices:
+                shard_ids = [ids[i] for i in indices]
+                for i, result in zip(
+                    indices, results_from_columns(shard_ids, replies[shard])
+                ):
+                    results[i] = result
+        return results
 
     # ------------------------------------------------------------------
     # Snapshot / restore / rebalance

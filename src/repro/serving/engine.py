@@ -22,6 +22,13 @@ streams -- as a single vectorized pass:
 6. one vectorized simplex monitor pass over all N streams
    (:func:`repro.core.monitor.judge_many`).
 
+A tick travels as columns: :func:`validate_tick_frames` stacks the
+frames into ``X``/``Q`` matrices, :meth:`StreamingEngine.step_columns`
+(the one columnar core) turns columns into result columns, and
+:func:`results_from_columns` (the one assembler) builds the
+:class:`StreamStepResult` objects.  ``step_batch`` is the three in a row;
+a cluster runs the core on its workers and the rest on its parent.
+
 Because steps 4-5 run the same segmented kernels the single-stream wrapper
 uses, a stream served inside a 1000-stream batch produces bitwise-identical
 outcomes and uncertainties to the same frames replayed through
@@ -38,7 +45,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.combination import combine_uncertainties
-from repro.core.monitor import MonitorVerdict, UncertaintyMonitor, judge_many
+from repro.core.monitor import (
+    MonitorDecision,
+    MonitorVerdict,
+    UncertaintyMonitor,
+    judge_many,
+)
 from repro.core.quality_factors import QualityFactorLayout
 from repro.core.quality_impact import QualityImpactModel
 from repro.core.ragged import RaggedBatch
@@ -54,6 +66,7 @@ __all__ = [
     "StreamFrame",
     "StreamStepResult",
     "StreamingEngine",
+    "results_from_columns",
     "validate_tick_frames",
 ]
 
@@ -135,55 +148,100 @@ def validate_tick_frames(
     Non-finite inputs (NaN or inf in ``model_input`` or the stateless
     quality values) reject the whole tick: a DDM and a quality tree fed
     garbage still produce an outcome and a *confident* uncertainty, so
-    serving them would be a dependability violation.  The check is one
-    vectorised ``np.isfinite`` pass over the stacked matrices.
+    serving them would be a dependability violation.
+
+    A clean tick of all-``(d,)`` or all-``(1, d)`` rows passes on one
+    vectorised pass; a fault, or any other row layout, runs the per-frame
+    loop, which names the first offending frame.
 
     Returns the stacked ``(X, Q)`` matrices: one model-input row and one
     stateless-quality row per frame, in input order.
     """
+    return _stack_checked(
+        [frame.stream_id for frame in frames],
+        [frame.model_input for frame in frames],
+        [frame.stateless_quality_values for frame in frames],
+        [frame.scope_factors for frame in frames],
+        n_stateless,
+        has_scope_model,
+    )
+
+
+def _stack_checked(ids, model_inputs, quality, scopes, n_stateless, has_scope_model):
+    """The vectorised pass, then the per-frame loop only if it declined."""
+    if not ids:
+        return np.empty((0, 0)), np.empty((0, n_stateless))
+    columns = (ids, model_inputs, quality, scopes, n_stateless, has_scope_model)
+    try:
+        stacked = _stack_clean(*columns)
+    except (TypeError, ValueError):  # unhashable ids, ragged or odd rows
+        stacked = None
+    return _check_rows(*columns) if stacked is None else stacked
+
+
+def _stack_clean(ids, model_inputs, quality, scopes, n_stateless, has_scope_model):
+    """The vectorised pass: ``(X, Q)``, or ``None`` to let the loop decide."""
+    n = len(ids)
+    if len(set(ids)) != n:
+        return None
+    if has_scope_model and any(scope is None for scope in scopes):
+        return None
+    X = np.asarray(model_inputs, dtype=float)
+    if X.ndim == 3 and X.shape[1] == 1:  # all (1, d) rows
+        X = X.reshape(n, X.shape[2])
+    Q = np.asarray(quality, dtype=float)
+    if X.ndim != 2 or Q.ndim != 2 or Q.shape[1] != n_stateless:
+        return None
+    if not (np.isfinite(X).all() and np.isfinite(Q).all()):
+        return None
+    return X, Q
+
+
+def _check_rows(ids, model_inputs, quality, scopes, n_stateless, has_scope_model):
+    """The per-frame loop: names the first offending frame, or stacks."""
     seen: set = set()
-    rows, quality = [], []
-    for frame in frames:
-        if frame.stream_id in seen:
+    rows, quality_rows = [], []
+    for stream_id, model_input, values, scope in zip(
+        ids, model_inputs, quality, scopes
+    ):
+        if stream_id in seen:
             raise ValidationError(
-                f"duplicate stream {frame.stream_id!r} within one tick; "
+                f"duplicate stream {stream_id!r} within one tick; "
                 "submit at most one frame per stream per step_batch call"
             )
-        seen.add(frame.stream_id)
-        row = np.atleast_2d(np.asarray(frame.model_input, dtype=float))
+        seen.add(stream_id)
+        row = np.atleast_2d(np.asarray(model_input, dtype=float))
         if row.shape[0] != 1:
             raise ValidationError(
-                f"stream {frame.stream_id!r}: model_input must be one row, "
+                f"stream {stream_id!r}: model_input must be one row, "
                 f"got shape {row.shape}"
             )
-        q = np.asarray(frame.stateless_quality_values, dtype=float).ravel()
+        q = np.asarray(values, dtype=float).ravel()
         if q.size != n_stateless:
             raise ValidationError(
-                f"stream {frame.stream_id!r}: expected {n_stateless} "
+                f"stream {stream_id!r}: expected {n_stateless} "
                 f"stateless quality values, got {q.size}"
             )
-        if has_scope_model and frame.scope_factors is None:
+        if has_scope_model and scope is None:
             raise ValidationError(
-                f"stream {frame.stream_id!r}: this engine has a scope "
+                f"stream {stream_id!r}: this engine has a scope "
                 "model; scope_factors are required"
             )
         rows.append(row[0])
-        quality.append(q)
-    if not frames:
-        return np.empty((0, 0)), np.empty((0, n_stateless))
+        quality_rows.append(q)
     try:
         X = np.asarray(rows)
     except ValueError:
         raise ValidationError(
             "model_input rows of one tick must all have the same width"
         ) from None
-    Q = np.asarray(quality)
+    Q = np.asarray(quality_rows)
     if not (np.isfinite(X).all() and np.isfinite(Q).all()):
         bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Q).all(axis=1))
-        first = frames[int(np.flatnonzero(bad)[0])]
         raise ValidationError(
-            f"stream {first.stream_id!r}: model_input and stateless quality "
-            "values must be finite (NaN/inf rejects the whole tick)"
+            f"stream {ids[int(np.flatnonzero(bad)[0])]!r}: model_input and "
+            "stateless quality values must be finite (NaN/inf rejects the "
+            "whole tick)"
         )
     return X, Q
 
@@ -244,6 +302,8 @@ class StreamingEngine:
             monitor_factory=monitor_factory,
             idle_ttl=idle_ttl,
         )
+        #: ``(n_stateless, has_scope_model)``: what tick validation checks.
+        self._shape = (len(layout.stateless_names), scope_model is not None)
         self._tick = 0
         #: Results of submitted-but-uncollected ticks, oldest first.
         self._ready: deque[list[StreamStepResult]] = deque()
@@ -273,15 +333,40 @@ class StreamingEngine:
         frames are committed and must not be resubmitted.
         """
         frames = list(frames)
-        if not frames:
-            self._finish_tick()
-            return []
-        prepared = self._prepare(frames)  # raises -> nothing committed
-        self._commit(prepared)  # raise-free
+        X, Q = validate_tick_frames(frames, *self._shape)
+        ids = [frame.stream_id for frame in frames]
+        new_series = [frame.new_series for frame in frames]
+        scopes = [frame.scope_factors for frame in frames]
+        return results_from_columns(
+            ids, self._step_columns(ids, X, Q, new_series, scopes)
+        )
+
+    def step_columns(
+        self, ids: Sequence, X, Q, new_series=None, scope: list | None = None
+    ) -> dict:
+        """One tick as columns in, its results as columns out.
+
+        Per frame: a stream id, an ``X`` and a ``Q`` row, a ``new_series``
+        flag (False when omitted), a ``scope`` dict.  The checks and
+        messages of :func:`validate_tick_frames` run first (a worker
+        trusts no peer), so a malformed tick rejects atomically.  Returns
+        int64 ``fused``/``isolated``/``timestep`` and float64
+        ``fused_u``/``isolated_u``/``scope_u`` columns, plus the ``v_*``
+        verdict columns when any stream is monitored: a worker's step
+        reply, as it is.
+        """
+        ids = list(ids)
+        n = len(ids)
+        flags = np.asarray(n * [False] if new_series is None else new_series, bool)
+        scopes = [None] * n if scope is None else list(scope)
         try:
-            return self._evaluate(prepared)
-        finally:
-            self._finish_tick()
+            aligned = len(X) == len(Q) == len(flags) == len(scopes) == n
+        except TypeError:  # a scalar where a column belongs
+            aligned = False
+        if not aligned:
+            raise ValidationError(f"step columns do not all hold {n} rows")
+        X, Q = _stack_checked(ids, X, Q, scopes, *self._shape)
+        return self._step_columns(ids, X, Q, flags.tolist(), scopes)
 
     def submit_batch(self, frames: Sequence[StreamFrame]) -> int:
         """Step one tick now; hold its results for :meth:`collect_batch`.
@@ -371,19 +456,32 @@ class StreamingEngine:
         self._tick = snapshot.tick
 
     # ------------------------------------------------------------------
-    def _prepare(self, frames: list[StreamFrame]):
-        """Everything fallible before state changes: validation, the DDM
-        pass, the stateless-QIM pass, and (atomic) state acquisition."""
-        X, Q = validate_tick_frames(
-            frames,
-            n_stateless=len(self.layout.stateless_names),
-            has_scope_model=self.scope_model is not None,
-        )
+    def _step_columns(self, ids: list, X, Q, new_series: list, scopes: list) -> dict:
+        """The columnar core over validated columns: prepare (fallible,
+        nothing changes), commit (raise-free), evaluate."""
+        if not ids:
+            self._finish_tick()
+            i, f = np.empty(0, np.int64), np.empty(0)
+            return dict(
+                fused=i, fused_u=f, isolated=i, isolated_u=f, timestep=i, scope_u=f
+            )
+        prepared = self._prepare(ids, X, Q, scopes)  # raises -> nothing committed
+        self._commit(prepared, new_series)  # raise-free
+        try:
+            return self._evaluate(prepared, Q)
+        finally:
+            self._finish_tick()
+
+    def _prepare(self, ids: list, X, Q, scopes: list):
+        """Everything fallible before state changes: the DDM pass, the
+        stateless-QIM pass, scope compliance and (atomic) state
+        acquisition."""
+        n = len(ids)
         predictions = np.asarray(self.ddm.predict(X)).ravel()
-        if predictions.size != len(frames):
+        if predictions.size != n:
             raise ValidationError(
                 f"ddm.predict returned {predictions.size} labels for "
-                f"{len(frames)} inputs"
+                f"{n} inputs"
             )
         if not np.issubdtype(predictions.dtype, np.integer):
             if not np.all(np.isfinite(predictions)):
@@ -392,10 +490,10 @@ class StreamingEngine:
         u_isolated = np.asarray(
             self.stateless_qim.estimate_uncertainty(Q), dtype=float
         ).ravel()
-        if u_isolated.size != len(frames):
+        if u_isolated.size != n:
             raise ValidationError(
                 f"stateless_qim returned {u_isolated.size} estimates for "
-                f"{len(frames)} frames"
+                f"{n} frames"
             )
         if not np.all((u_isolated >= 0.0) & (u_isolated <= 1.0)):  # NaN-rejecting
             raise ValidationError("stateless uncertainties must lie in [0, 1]")
@@ -405,53 +503,49 @@ class StreamingEngine:
         # the whole tick, exactly like the single-stream wrapper rejects
         # the step before mutating its buffer.
         if self.scope_model is not None:
-            u_scope = np.empty(len(frames), dtype=float)
-            for i, frame in enumerate(frames):
-                u_scope[i] = self.scope_model.incompliance_probability(
-                    frame.scope_factors
-                )
+            incompliance = self.scope_model.incompliance_probability
+            u_scope = np.fromiter(map(incompliance, scopes), float, n)
         else:
-            u_scope = np.zeros(len(frames), dtype=float)
+            u_scope = np.zeros(n, dtype=float)
 
         # Acquire all stream states atomically (the monitor factory may
         # raise for a new stream): all input validation has now run, so a
         # rejected tick never leaves half-applied frames or phantom
         # registry entries.
-        states = self.registry.get_or_create_many(
-            [frame.stream_id for frame in frames], self._tick
-        )
-        return frames, states, Q, labels, u_isolated, u_scope
+        states = self.registry.get_or_create_many(ids, self._tick)
+        return states, labels, u_isolated, u_scope
 
-    def _commit(self, prepared) -> None:
+    def _commit(self, prepared, new_series: list) -> None:
         """Record every frame into its stream; raise-free by construction
         (all inputs were validated in ``_prepare``)."""
-        frames, states, _, labels, u_isolated, _ = prepared
-        labels_list = labels.tolist()
-        u_isolated_list = u_isolated.tolist()
-        for frame, state, label, u in zip(
-            frames, states, labels_list, u_isolated_list
+        states, labels, u_isolated, _ = prepared
+        started = 0
+        for state, fresh, label, u in zip(
+            states, new_series, labels.tolist(), u_isolated.tolist()
         ):
-            if frame.new_series and state.step_count > 0:
+            if fresh and state.step_count > 0:
                 state.begin_series()
-                self.registry.statistics.series_started += 1
+                started += 1
             state.buffer.append(label, u)
             state.step_count += 1
+        self.registry.statistics.series_started += started
 
-    def _evaluate(self, prepared) -> list[StreamStepResult]:
+    def _evaluate(self, prepared, Q) -> dict:
         """The batched fusion/taQF/taQIM/monitor pass over committed
-        frames.  A failure here (broken fusion rule or taQIM) happens
-        after the tick was recorded; errors say so."""
-        frames, states, Q, labels, u_isolated, u_scope = prepared
+        frames, as result columns.  A failure here (broken fusion rule or
+        taQIM) happens after the tick was recorded; errors say so."""
+        states, labels, u_isolated, u_scope = prepared
+        n = len(states)
         batch = RaggedBatch.from_buffers([s.buffer for s in states])
         fused, vote = fuse_segments(self.information_fusion, batch)
         features = self.layout.assemble_batch(Q, batch, fused, vote)
         u_quality = np.asarray(
             self.timeseries_qim.estimate_uncertainty(features), dtype=float
         ).ravel()
-        if u_quality.size != len(frames):
+        if u_quality.size != n:
             raise ValidationError(
                 f"timeseries_qim returned {u_quality.size} estimates for "
-                f"{len(frames)} frames (tick already recorded)"
+                f"{n} frames (tick already recorded)"
             )
         if not np.all((u_quality >= 0.0) & (u_quality <= 1.0)):  # NaN-rejecting
             raise ValidationError(
@@ -459,43 +553,60 @@ class StreamingEngine:
                 "(tick already recorded)"
             )
         u_fused = combine_uncertainties(u_quality, u_scope)
+        columns = {
+            "fused": np.asarray(fused, dtype=np.int64),
+            "fused_u": u_fused,
+            "isolated": labels,
+            "isolated_u": u_isolated,
+            "timestep": np.fromiter((s.step_count - 1 for s in states), np.int64, n),
+            "scope_u": u_scope,
+        }
 
         # Monitors are judged in one vectorized pass (all-or-nothing, so a
-        # failure above leaves no half-judged monitors), then the results
-        # are assembled from plain-Python scalars: ``tolist`` converts the
-        # whole batch at C speed instead of one numpy scalar per field per
-        # frame, which kept this loop from dominating at 10k+ streams.
-        verdicts: list[MonitorVerdict | None] = [None] * len(frames)
-        monitored = [i for i, s in enumerate(states) if s.monitor is not None]
-        if monitored:
-            judged = judge_many(
-                [states[i].monitor for i in monitored], u_fused[monitored]
+        # failure above leaves no half-judged monitors); their verdicts
+        # join the result as columns, zero where a stream is unmonitored.
+        monitors = [s.monitor for s in states]
+        mask = np.fromiter((m is not None for m in monitors), bool, n)
+        if mask.any():
+            at = np.flatnonzero(mask)
+            accepted, threshold, hysteresis = judge_many(
+                [monitors[i] for i in at.tolist()], u_fused[at]
             )
-            for i, verdict in zip(monitored, judged):
-                verdicts[i] = verdict
+            columns["v_mask"] = mask
+            judged = (accepted, u_fused[at], threshold, hysteresis)
+            for name, values in zip(_VERDICT_COLUMNS, judged):
+                columns[name] = np.zeros(n, values.dtype)
+                columns[name][at] = values
+        return columns
 
-        rows = zip(
-            frames,
-            states,
-            verdicts,
-            fused.tolist(),
-            u_fused.tolist(),
-            labels.tolist(),
-            u_isolated.tolist(),
-            u_scope.tolist(),
-        )
-        return [
-            StreamStepResult(
-                stream_id=frame.stream_id,
-                outcome=TimeseriesWrappedOutcome(
-                    fused_outcome=fused_i,
-                    fused_uncertainty=fused_u_i,
-                    isolated_outcome=label_i,
-                    isolated_uncertainty=u_isolated_i,
-                    timestep=state.step_count - 1,
-                    scope_incompliance=u_scope_i,
-                ),
-                verdict=verdict,
-            )
-            for frame, state, verdict, fused_i, fused_u_i, label_i, u_isolated_i, u_scope_i in rows
-        ]
+
+_VERDICT_COLUMNS = ("v_accepted", "v_u", "v_threshold", "v_hysteresis")
+_DECISIONS = (MonitorDecision.FALLBACK, MonitorDecision.ACCEPT)
+
+
+def results_from_columns(ids: Sequence, columns: dict) -> list[StreamStepResult]:
+    """The one result assembler: :meth:`StreamingEngine.step_columns`
+    output (or a worker's decoded step reply) to one result object per
+    id, from one ``tolist`` per column and positional ``map`` calls."""
+    outcomes = map(
+        TimeseriesWrappedOutcome,
+        columns["fused"].tolist(),
+        columns["fused_u"].tolist(),
+        columns["isolated"].tolist(),
+        columns["isolated_u"].tolist(),
+        columns["timestep"].tolist(),
+        columns["scope_u"].tolist(),
+    )
+    if "v_mask" not in columns:
+        return list(map(StreamStepResult, ids, outcomes))
+    verdicts = map(
+        MonitorVerdict,
+        map(_DECISIONS.__getitem__, columns["v_accepted"].tolist()),
+        columns["v_u"].tolist(),
+        columns["v_threshold"].tolist(),
+        columns["v_hysteresis"].tolist(),
+    )
+    mask = columns["v_mask"]
+    if not mask.all():
+        verdicts = [v if m else None for v, m in zip(verdicts, mask.tolist())]
+    return list(map(StreamStepResult, ids, outcomes, verdicts))

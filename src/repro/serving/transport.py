@@ -8,9 +8,8 @@ reduces to placement + fan-out/merge and never touches a pipe or socket:
 
 * :class:`InprocTransport` -- same-process loopback.  No child processes,
   no byte encoding; commands dispatch straight into a
-  :class:`WorkerServicer`.  The zero-overhead path for tests and for
-  1-shard clusters, with exception mapping identical to the real
-  transports;
+  :class:`WorkerServicer`.  The hermetic path for tests and 1-shard
+  clusters, with exception mapping identical to the real transports;
 * :class:`PipeTransport` -- one forked (or spawned) child process per
   shard, exchanging codec frames over a :func:`multiprocessing.Pipe`.
   The single-host default;
@@ -104,6 +103,11 @@ class WorkerServicer:
     calls :meth:`handle` directly, pipe and TCP workers call it from
     :func:`serve_connection`.  Raises on failure; the caller maps the
     exception into an error reply.
+
+    A step request's columns go straight into
+    :meth:`~repro.serving.engine.StreamingEngine.step_columns`, which
+    re-validates them and returns the reply's result columns: the worker
+    builds no frame, result or verdict objects.
 
     With a metrics registry attached (``serve-worker --metrics-port``)
     every command is counted by name, errors separately, plus stepped
@@ -297,29 +301,11 @@ class WorkerServicer:
         raise ClusterError(f"unknown worker command {command!r}")
 
     def _step(self, payload):
-        from repro.serving.cluster import encode_step_results
-        from repro.serving.engine import StreamFrame
-
         engine = self.engine
         if payload is None:  # frameless tick: time still passes on this shard
             engine.step_batch([])
             return None
-        ids = payload["ids"]
-        X = payload["X"]
-        Q = payload["Q"]
-        new_series = [bool(flag) for flag in payload["new_series"]]
-        scope = payload["scope"]
-        frames = [
-            StreamFrame(
-                stream_id=ids[i],
-                model_input=X[i],
-                stateless_quality_values=Q[i],
-                new_series=new_series[i],
-                scope_factors=scope[i] if scope is not None else None,
-            )
-            for i in range(len(ids))
-        ]
-        return encode_step_results(engine.step_batch(frames))
+        return engine.step_columns(**payload)  # ids, X, Q, new_series, scope
 
 
 # ---------------------------------------------------------------------------
@@ -953,8 +939,8 @@ class Transport:
 class InprocTransport(Transport):
     """All shards live in the calling process.
 
-    The fast path for 1-shard clusters and the hermetic path for tests:
-    no fork, no sockets, no serialization -- but byte-for-byte the same
+    The hermetic path for tests and 1-shard clusters: no fork, no
+    sockets, no serialization -- but byte-for-byte the same
     results and error mapping as the real transports.
     """
 

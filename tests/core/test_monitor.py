@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.monitor import (
     MonitorDecision,
+    MonitorVerdict,
     UncertaintyMonitor,
 )
 from repro.exceptions import ValidationError
@@ -180,7 +181,21 @@ class TestJudgeMany:
         for _ in range(25):  # enough rounds to exercise budgets + hysteresis
             u = rng.uniform(0.0, 1.0, size=n)
             expected = [m.judge(float(x)) for m, x in zip(sequential, u)]
-            got = judge_many(batched, u)
+            accepted, threshold, hysteresis = judge_many(batched, u)
+            got = [
+                MonitorVerdict(
+                    MonitorDecision.ACCEPT if a else MonitorDecision.FALLBACK,
+                    u_i,
+                    t,
+                    h,
+                )
+                for a, u_i, t, h in zip(
+                    accepted.tolist(),
+                    u.tolist(),
+                    threshold.tolist(),
+                    hysteresis.tolist(),
+                )
+            ]
             assert got == expected  # frozen dataclasses: exact equality
         for a, b in zip(batched, sequential):
             assert a.state_dict() == b.state_dict()
@@ -188,7 +203,8 @@ class TestJudgeMany:
     def test_empty_batch(self):
         from repro.core.monitor import judge_many
 
-        assert judge_many([], []) == []
+        accepted, threshold, hysteresis = judge_many([], [])
+        assert accepted.shape == threshold.shape == hysteresis.shape == (0,)
 
     def test_shared_monitor_object_rejected(self):
         from repro.core.monitor import judge_many

@@ -586,3 +586,43 @@ class TestWindowedObservability:
         assert awaits[0].meta["tick"] == 3
         assert fanouts[0].start < awaits[0].start
         assert middle.seconds("await_window") >= 0.0
+
+    @pytest.mark.slow
+    def test_exported_trace_of_a_windowed_cli_run_shows_overlap(self, tmp_path):
+        # The traced windowed serve-cluster run, end to end: the exported
+        # Perfetto trace validates, and some tick's fan-out of t+1 went to
+        # the wire before that tick's replies were awaited.
+        import json
+        from collections import defaultdict
+
+        from repro.cli import main
+        from repro.serving.observability import validate_trace_events
+
+        export = tmp_path / "trace"
+        assert main([
+            "serve-cluster", "--smoke", "--streams", "32", "--ticks", "10",
+            "--shards", "2", "--threshold", "0.5", "--inflight-window", "2",
+            "--trace-export", str(export), "--compare-single",
+        ]) == 0
+
+        payload = json.loads((export / "trace.json").read_text())
+        complete = validate_trace_events(payload)
+        events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
+        assert complete == len(events) and complete > 0
+
+        by_tick = defaultdict(lambda: defaultdict(list))
+        for event in events:
+            by_tick[event["args"]["tick"]][event["name"]].append(event)
+        awaited = [t for t, names in by_tick.items() if "await_window" in names]
+        assert awaited, "no await_window spans in the exported trace"
+        # Overlap signature: a tick's trace closes *after* the next
+        # tick's fan-out went to the wire, so somewhere a fanout span
+        # starts before that same trace's oldest await_window span.
+        overlapped = sum(
+            1
+            for tick in awaited
+            if "fanout" in by_tick[tick]
+            and min(e["ts"] for e in by_tick[tick]["fanout"])
+            < min(e["ts"] for e in by_tick[tick]["await_window"])
+        )
+        assert overlapped > 0, "no tick overlapped submit with collect"
